@@ -1,10 +1,14 @@
 """PSD completion of graph-patterned partial matrices, with certificates of failure.
 
 A partial symmetric matrix specifies the diagonal and one value per edge of a
-pattern graph. Chordal patterns complete constructively whenever every clique
-block is PSD, with completion rank bounded by the clique number. Non-chordal
-patterns go through a feasibility search; failures are certified, when
-possible, by a cycle extreme ray pairing negatively with the data.
+pattern graph. Each call analyses the pattern once and then decides in
+stages. A fully specified clique block that is not PSD refutes the data at
+once. Chordal patterns then complete constructively by Gram propagation,
+with completion rank bounded by the clique number. On non-chordal patterns a
+cycle extreme ray on a shortest chordless cycle is tried first, ranked over
+all layouts in closed form, and certifies infeasibility when it pairs
+negatively with the data; only data it does not refute goes to the
+feasibility search.
 """
 
 from __future__ import annotations
@@ -17,19 +21,20 @@ import numpy as np
 from .errors import NotChordal, NotPartiallyPositive, PatternMismatch
 from .graphs import (
     Graph,
-    clique_tree,
+    _chordal_analysis,
+    _clique_tree,
+    _induced_cycles,
+    _maximal_cliques,
+    _shortest_cycle_length,
     edge_key,
-    induced_cycles_of_length,
-    is_chordal,
-    maximal_cliques,
     rooted_clique_order,
-    shortest_induced_cycle,
 )
 from .linalg import (
     DEFAULT_TOL,
     GRAM_TOL,
     affine_psd_feasibility,
     align_gram,
+    check_symmetric,
     gram_factor,
     numeric_rank,
     psd_min_eig,
@@ -113,20 +118,6 @@ class PartialSymmetricMatrix:
             m[i, j] = m[j, i] = True
         return m
 
-    def block(self, vertices) -> np.ndarray:
-        """Fully specified principal submatrix on a clique's vertices."""
-        vs = list(vertices)
-        k = len(vs)
-        b = np.empty((k, k))
-        for s, i in enumerate(vs):
-            b[s, s] = self.diag[i]
-            for t in range(s + 1, k):
-                key = edge_key(i, vs[t])
-                if key not in self.entries:
-                    raise PatternMismatch(f"block pair {key} is unspecified")
-                b[s, t] = b[t, s] = self.entries[key]
-        return b
-
     def max_abs(self) -> float:
         vals = [abs(float(v)) for v in self.entries.values()]
         vals.append(float(np.max(np.abs(self.diag))) if self.n else 0.0)
@@ -178,33 +169,45 @@ def completion_residual(partial: PartialSymmetricMatrix, a) -> float:
     return dev
 
 
-def _clique_block_scan(g: Graph, partial: PartialSymmetricMatrix, strict: bool,
-                       tol: float):
-    """Smallest-eigenvalue scan over maximal clique blocks.
+def _clique_block_scan(a: np.ndarray, cliques: list, strict: bool, tol: float):
+    """Smallest-eigenvalue scan over the maximal clique blocks of scattered data a.
 
-    Returns (ok, clique, min_eig) where clique/min_eig describe the first
-    violating block (or the globally smallest eigenvalue when ok).
+    Blocks of one size go through one stacked eigvalsh. Returns (ok, clique,
+    min_eig) where clique/min_eig describe the first violating block in
+    clique order (or the first globally smallest eigenvalue when ok).
     """
-    worst_clique = None
-    worst = np.inf
-    for K in maximal_cliques(g):
-        b = partial.block(K)
-        lam = psd_min_eig(b)
-        scale = 1.0 + float(np.max(np.abs(b)))
-        bad = lam <= tol * scale if strict else lam < -tol * scale
-        if bad:
-            return False, K, lam
-        if lam < worst:
-            worst = lam
-            worst_clique = K
-    return True, worst_clique, worst
+    lam = np.empty(len(cliques))
+    scale = np.empty(len(cliques))
+    by_size = {}
+    for t, K in enumerate(cliques):
+        by_size.setdefault(len(K), []).append(t)
+    for idx in by_size.values():
+        rows = np.array([cliques[t] for t in idx])
+        blocks = a[rows[:, :, None], rows[:, None, :]]
+        lam[idx] = np.linalg.eigvalsh(blocks)[:, 0]
+        scale[idx] = 1.0 + np.max(np.abs(blocks), axis=(1, 2))
+    bad = lam <= tol * scale if strict else lam < -tol * scale
+    t = int(np.argmax(bad)) if bad.any() else int(np.argmin(lam))
+    return not bad[t], cliques[t], float(lam[t])
+
+
+def _analyse(g: Graph, partial: PartialSymmetricMatrix):
+    """Validate the data against g and analyse the pattern once.
+
+    Returns (scattered data, adjacency, perfect elimination ordering or None
+    when g is not chordal, maximal cliques).
+    """
+    partial.validate_against(g)
+    adj, peo = _chordal_analysis(g)
+    a = check_symmetric(partial.scatter(0.0))
+    return a, adj, peo, _maximal_cliques(g, adj, peo)
 
 
 def partially_positive(g: Graph, partial: PartialSymmetricMatrix,
                        strict: bool = False, tol: float = DEFAULT_TOL) -> bool:
     """True iff every fully specified clique block is PSD (strict: PD)."""
-    partial.validate_against(g)
-    ok, _, _ = _clique_block_scan(g, partial, strict, tol)
+    a, _, _, cliques = _analyse(g, partial)
+    ok, _, _ = _clique_block_scan(a, cliques, strict, tol)
     return ok
 
 
@@ -220,23 +223,28 @@ def chordal_complete(g: Graph, partial: PartialSymmetricMatrix,
 
     Returns (completion, rank).
     """
-    partial.validate_against(g)
-    chordal, _ = is_chordal(g)
-    if not chordal:
+    a, _, peo, cliques = _analyse(g, partial)
+    if peo is None:
         raise NotChordal("pattern must be chordal for direct completion")
-    ok, clique, lam = _clique_block_scan(g, partial, strict=False, tol=tol)
+    ok, clique, lam = _clique_block_scan(a, cliques, strict=False, tol=tol)
     if not ok:
         raise NotPartiallyPositive(
             f"clique block {clique} has eigenvalue {lam:.3e}", clique=clique, min_eig=lam
         )
+    return _propagate(a, cliques, tol)
 
-    tree = clique_tree(g)
+
+def _propagate(a: np.ndarray, cliques: list, tol: float):
+    """Gram propagation of chordal_complete on scattered data a that is
+    partially positive on the maximal cliques of a chordal pattern."""
+    n = a.shape[0]
+    tree = _clique_tree(cliques)
     order, _ = rooted_clique_order(tree)
     vecs = {}
     r = 0
     for idx in order:
         K = tree.cliques[idx]
-        fac = gram_factor(partial.block(K), tol)
+        fac = gram_factor(a[np.ix_(K, K)], tol)
         r_new = max(r, fac.rank)
         if r_new > r:
             for v in vecs:
@@ -249,36 +257,52 @@ def chordal_complete(g: Graph, partial: PartialSymmetricMatrix,
         rot = align_gram(p_sep, q[sep], tol=GRAM_TOL)
         for t in new:
             vecs[K[t]] = rot @ q[t]
-    basis = np.array([vecs[v] for v in range(g.n)]).reshape(g.n, r)
-    a = basis @ basis.T
-    a = 0.5 * (a + a.T)
-    return a, numeric_rank(a, tol)
+    basis = np.array([vecs[v] for v in range(n)]).reshape(n, r)
+    c = basis @ basis.T
+    c = 0.5 * (c + c.T)
+    return c, numeric_rank(c, tol)
 
 
-def _cycle_certificate_scan(g: Graph, partial: PartialSymmetricMatrix,
-                            cycle_limit: int = 64):
-    """Most negative pairing over embedded shortest-cycle certificates.
+def _best_cycle_layout(a: np.ndarray, cycles: list):
+    """Most negative pairing of cycle_extreme_ray over layouts on the cycles.
 
-    Tries every rotation and reflection of each enumerated shortest chordless
-    cycle. Returns (best_value, best_certificate) or (None, None) when the
-    graph is chordal.
+    Rotation i of cycle vs lays the ray along vs[i:] + vs[:i], so its wrap
+    edge is (p, q) = (vs[i-1], vs[i]). With d the diagonal and e the cycle's
+    edge values in the scattered data a, that layout pairs in closed form to
+    2*sum(d) - 2*sum(e) + m/(m-1) * (2*e_pq - d_p - d_q). Reflections embed
+    the same tau and are skipped. Returns (value, layout) for the first
+    minimum in (cycle, rotation) order.
     """
-    cyc = shortest_induced_cycle(g)
-    if cyc is None:
+    vs = np.array([c.vertices for c in cycles])
+    m = vs.shape[1]
+    prev = np.roll(vs, 1, axis=1)
+    d = np.diagonal(a)
+    e = a[prev, vs]
+    vals = 2.0 * (d[vs].sum(axis=1) - e.sum(axis=1))[:, None] + \
+        m / (m - 1.0) * (2.0 * e - d[prev] - d[vs])
+    c, i = divmod(int(np.argmin(vals)), m)
+    lay = cycles[c].vertices
+    return float(vals[c, i]), lay[i:] + lay[:i]
+
+
+def _cycle_certificate(g: Graph, partial: PartialSymmetricMatrix, a: np.ndarray,
+                       cycles: list, tol: float):
+    """Shortest-cycle extreme ray refuting the data, or (None, None).
+
+    The layout is chosen in closed form; only a negative minimum is embedded
+    and paired, and the pairing from rays.pair decides. Returns
+    (certificate, pairing value).
+    """
+    if not cycles:
         return None, None
-    m = len(cyc)
-    base = cycle_extreme_ray(m)
-    best_val, best_cert = np.inf, None
-    for cycle in induced_cycles_of_length(g, m, limit=cycle_limit):
-        vs = list(cycle.vertices)
-        layouts = [vs[i:] + vs[:i] for i in range(m)]
-        layouts += [list(reversed(lay)) for lay in layouts]
-        for lay in layouts:
-            cert = embed_certificate(base, lay, g.n)
-            val = pair(cert, g, partial)
-            if val < best_val:
-                best_val, best_cert = val, cert
-    return best_val, best_cert
+    val, lay = _best_cycle_layout(a, cycles)
+    if val >= 0.0:
+        return None, None
+    cert = embed_certificate(cycle_extreme_ray(len(lay)), lay, g.n)
+    val = pair(cert, g, partial)
+    if val < -tol * (1.0 + partial.max_abs()):
+        return cert, val
+    return None, None
 
 
 def complete_or_certify(g: Graph, partial: PartialSymmetricMatrix,
@@ -286,35 +310,36 @@ def complete_or_certify(g: Graph, partial: PartialSymmetricMatrix,
                         cycle_limit: int = 64) -> CompletionReport:
     """Complete the data to a PSD matrix or certify that no completion exists.
 
-    Chordal patterns complete constructively. Otherwise an alternating
-    projection search runs first; if it fails, shortest-cycle extreme rays
-    are paired with the data and a strictly negative pairing certifies
-    infeasibility. With neither a witness nor a certificate the verdict is
-    "undetermined" (the search is allowed to give up).
+    A non-PSD clique block refutes the data at once. Chordal patterns then
+    complete constructively. Otherwise up to cycle_limit shortest chordless
+    cycles are tried first: an extreme ray on one of them that pairs
+    strictly negatively with the data certifies infeasibility. Only data no
+    such ray refutes goes to the alternating projection search. With
+    neither a certificate nor a witness the verdict is "undetermined" (the
+    search is allowed to give up).
     """
-    partial.validate_against(g)
-    ok, clique, lam = _clique_block_scan(g, partial, strict=False, tol=tol)
+    a, adj, peo, cliques = _analyse(g, partial)
+    ok, clique, lam = _clique_block_scan(a, cliques, strict=False, tol=tol)
     if not ok:
         return CompletionReport(
             verdict="infeasible",
             separating_value=lam,
             violating_clique=tuple(clique),
         )
-    chordal, _ = is_chordal(g)
-    if chordal:
-        a, rank = chordal_complete(g, partial, tol)
-        return CompletionReport(verdict="completed", completion=a, rank=rank)
+    if peo is not None:
+        c, rank = _propagate(a, cliques, tol)
+        return CompletionReport(verdict="completed", completion=c, rank=rank)
+
+    m = _shortest_cycle_length(g, adj)
+    cycles = _induced_cycles(g, adj, m, limit=cycle_limit)
+    cert, val = _cycle_certificate(g, partial, a, cycles, tol)
+    if cert is not None:
+        return CompletionReport(verdict="infeasible", certificate=cert, separating_value=val)
 
     witness = affine_psd_feasibility(g, partial, shift=0.0, max_iter=max_iter)
     if witness is not None:
         return CompletionReport(
             verdict="completed", completion=witness, rank=numeric_rank(witness, tol)
-        )
-
-    best_val, best_cert = _cycle_certificate_scan(g, partial, cycle_limit)
-    if best_val is not None and best_val < -tol * (1.0 + partial.max_abs()):
-        return CompletionReport(
-            verdict="infeasible", certificate=best_cert, separating_value=best_val
         )
     return CompletionReport(verdict="undetermined")
 
@@ -330,26 +355,24 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     probed by bisection on the eigenvalue floor; a negative certificate
     pairing proves "no", and an inconclusive search answers "undetermined".
     """
-    partial.validate_against(g)
-    ok, clique, lam = _clique_block_scan(g, partial, strict=True, tol=tol)
+    a, adj, peo, cliques = _analyse(g, partial)
+    ok, clique, lam = _clique_block_scan(a, cliques, strict=True, tol=tol)
     if not ok:
         return PDExistenceVerdict(answer="no", failed_condition="clique_block")
 
-    chordal, _ = is_chordal(g)
-    if chordal:
+    if peo is not None:
         # Shift the diagonal down by half the worst block margin, complete,
         # then shift back up: a PD witness with margin s.
         s = 0.5 * lam
-        shifted = partial.with_diag(partial.diag - s)
-        a, _ = chordal_complete(g, shifted, tol)
-        witness = a + s * np.eye(g.n)
+        c, _ = _propagate(a - s * np.eye(g.n), cliques, tol)
+        witness = c + s * np.eye(g.n)
         return PDExistenceVerdict(answer="yes", witness=witness)
 
-    best_val, _ = _cycle_certificate_scan(g, partial)
-    if best_val is not None and best_val < -tol * (1.0 + partial.max_abs()):
+    m = _shortest_cycle_length(g, adj)
+    cert, _ = _cycle_certificate(g, partial, a, _induced_cycles(g, adj, m, limit=64), tol)
+    if cert is not None:
         return PDExistenceVerdict(answer="no", failed_condition="rank_bound")
 
-    m = len(shortest_induced_cycle(g))
     lo, hi = 0.0, float(np.max(partial.diag))
     witness = None
     for _ in range(40):

@@ -154,33 +154,21 @@ def _is_peo(g: Graph, adj, order) -> bool:
     return True
 
 
-def is_chordal(g: Graph):
-    """Decide chordality of g.
+def _chordal_analysis(g: Graph):
+    """Adjacency sets and, when g is chordal, a perfect elimination ordering.
 
-    Returns ``(True, EliminationOrdering)`` with a perfect elimination
-    ordering, or ``(False, InducedCycle)`` with a shortest chordless cycle
-    of length >= 4 as witness.
+    One maximum cardinality search: its reversed visit order is a perfect
+    elimination ordering exactly when g is chordal. Returns ``(adj, peo)``
+    with ``peo`` None on non-chordal graphs.
     """
     adj = _adjacency(g)
-    order = _mcs_order(g, adj)
-    peo = list(reversed(order))
-    if _is_peo(g, adj, peo):
-        return True, EliminationOrdering(tuple(peo))
-    cyc = shortest_induced_cycle(g)
-    assert cyc is not None
-    return False, cyc
+    peo = list(reversed(_mcs_order(g, adj)))
+    return adj, (peo if _is_peo(g, adj, peo) else None)
 
 
-def maximal_cliques(g: Graph) -> list:
-    """All maximal cliques as sorted tuples, in sorted order.
-
-    Chordal graphs use the elimination ordering (at most n cliques); general
-    graphs fall back to Bron-Kerbosch with pivoting.
-    """
-    adj = _adjacency(g)
-    order = _mcs_order(g, adj)
-    peo = list(reversed(order))
-    if _is_peo(g, adj, peo):
+def _maximal_cliques(g: Graph, adj, peo) -> list:
+    """Maximal cliques from a ``_chordal_analysis`` result, as in maximal_cliques."""
+    if peo is not None:
         pos = {v: i for i, v in enumerate(peo)}
         cands = []
         for v in peo:
@@ -207,6 +195,28 @@ def maximal_cliques(g: Graph) -> list:
 
     expand(set(), set(range(g.n)), set())
     return sorted(out)
+
+
+def is_chordal(g: Graph):
+    """Decide chordality of g.
+
+    Returns ``(True, EliminationOrdering)`` with a perfect elimination
+    ordering, or ``(False, InducedCycle)`` with a shortest chordless cycle
+    of length >= 4 as witness.
+    """
+    _, peo = _chordal_analysis(g)
+    if peo is not None:
+        return True, EliminationOrdering(tuple(peo))
+    return False, shortest_induced_cycle(g)
+
+
+def maximal_cliques(g: Graph) -> list:
+    """All maximal cliques as sorted tuples, in sorted order.
+
+    Chordal graphs use the elimination ordering (at most n cliques); general
+    graphs fall back to Bron-Kerbosch with pivoting.
+    """
+    return _maximal_cliques(g, *_chordal_analysis(g))
 
 
 def clique_number(g: Graph) -> int:
@@ -238,10 +248,14 @@ def clique_tree(g: Graph) -> CliqueTree:
     intersection property. Deterministic: candidate edges are taken in
     (-weight, i, j) order.
     """
-    chordal, _ = is_chordal(g)
-    if not chordal:
+    adj, peo = _chordal_analysis(g)
+    if peo is None:
         raise NotChordal("clique trees are defined for chordal graphs only")
-    cliques = maximal_cliques(g)
+    return _clique_tree(_maximal_cliques(g, adj, peo))
+
+
+def _clique_tree(cliques: list) -> CliqueTree:
+    """clique_tree from the maximal cliques of a chordal graph."""
     k = len(cliques)
     sets = [set(c) for c in cliques]
     cand = sorted(
@@ -295,6 +309,7 @@ def _shortest_cycle_length(g: Graph, adj):
     Per-edge search: for edge (u, v), a shortest u-v path avoiding their
     common neighbors (and the edge itself) closes into a chordless cycle.
     """
+    nbrs = [sorted(s) for s in adj]
     best = None
     for u, v in g.sorted_edges():
         blocked = adj[u] & adj[v]
@@ -304,7 +319,7 @@ def _shortest_cycle_length(g: Graph, adj):
             x = q.popleft()
             if x == v:
                 break
-            for y in sorted(adj[x]):
+            for y in nbrs[x]:
                 if y in dist or y in blocked:
                     continue
                 if x == u and y == v:
@@ -326,7 +341,12 @@ def induced_cycles_of_length(g: Graph, length: int, limit=None) -> list:
     """
     if length < 4:
         raise InvalidCycleLength("induced cycles have length >= 4")
-    adj = _adjacency(g)
+    return _induced_cycles(g, _adjacency(g), length, limit)
+
+
+def _induced_cycles(g: Graph, adj, length: int, limit) -> list:
+    """induced_cycles_of_length over precomputed adjacency sets."""
+    nbrs = [sorted(s) for s in adj]
     found = []
     for a in range(g.n):
         # Static distance to a inside {v > a} is a lower bound used for pruning.
@@ -345,7 +365,7 @@ def induced_cycles_of_length(g: Graph, length: int, limit=None) -> list:
         def extend():
             t = len(seq)
             x = seq[-1]
-            for w in sorted(adj[x]):
+            for w in nbrs[x]:
                 if w <= a or w in used:
                     continue
                 if t + 1 == length:
@@ -386,7 +406,7 @@ def shortest_induced_cycle(g: Graph):
     length = _shortest_cycle_length(g, adj)
     if length is None:
         return None
-    cycles = induced_cycles_of_length(g, length, limit=1)
+    cycles = _induced_cycles(g, adj, length, limit=1)
     assert cycles, "per-edge search found a cycle, enumeration must too"
     return cycles[0]
 

@@ -198,13 +198,11 @@ def embed_certificate(cert: ExtremeRayCertificate, coords, n: int) -> ExtremeRay
 
 def _support_violation(tau: np.ndarray, g: Graph) -> float:
     """Largest |tau| entry sitting on a non-edge off-diagonal slot."""
-    worst = 0.0
-    n = g.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not g.has_edge(i, j):
-                worst = max(worst, abs(float(tau[i, j])))
-    return worst
+    off = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
+    if g.edges:
+        i, j = np.array(list(g.edges)).T
+        off[i, j] = False
+    return float(np.max(np.abs(tau[off]), initial=0.0))
 
 
 def pair(cert: ExtremeRayCertificate, g: Graph, partial) -> float:

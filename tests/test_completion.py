@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,22 @@ from psdcomplete import (
     chordal_complete,
     clique_number,
     complete_or_certify,
+    cycle_extreme_ray,
     cycle_graph,
+    embed_certificate,
+    induced_cycles_of_length,
     is_chordal,
+    maximal_cliques,
     numeric_rank,
     pair,
     partially_positive,
     pd_completion_exists,
     psd_min_eig,
+    shortest_induced_cycle,
     verify_certificate,
 )
+from psdcomplete import completion
+from psdcomplete.completion import _best_cycle_layout, _clique_block_scan
 
 from helpers import (
     hard_cycle_instance,
@@ -266,3 +275,108 @@ def test_pd_witness_agrees_with_psd_route():
         assert verdict.answer == "yes"
         rep = complete_or_certify(g, shifted)
         assert rep.verdict == "completed"
+
+
+def planted_six_cycle() -> Graph:
+    """A 6-cycle with a simplicial vertex on each of three of its edges."""
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    for t, (i, j) in enumerate([(0, 1), (2, 3), (4, 5)]):
+        edges += [(6 + t, i), (6 + t, j)]
+    return Graph.from_edges(9, edges)
+
+
+@pytest.mark.parametrize("make", [lambda: cycle_graph(5), petersen, planted_six_cycle])
+def test_refutable_data_is_certified_without_the_search(monkeypatch, make):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the feasibility search ran on refutable data")
+
+    monkeypatch.setattr(completion, "affine_psd_feasibility", no_search)
+    g = make()
+    part = hard_cycle_instance(g)
+    rep = complete_or_certify(g, part)
+    assert rep.verdict == "infeasible"
+    assert verify_certificate(rep.certificate, g)
+    assert rep.separating_value == pair(rep.certificate, g, part)
+    m = len(shortest_induced_cycle(g))
+    assert rep.separating_value == pytest.approx(-4.0 / (m - 1), abs=1e-12)
+
+
+def brute_best_layout(g, part, cycles):
+    """Reference: every rotation and reflection, embedded and paired."""
+    base = cycle_extreme_ray(len(cycles[0]))
+    best_val, best_lay = math.inf, None
+    for cycle in cycles:
+        vs = list(cycle.vertices)
+        layouts = [vs[i:] + vs[:i] for i in range(len(vs))]
+        layouts += [list(reversed(lay)) for lay in layouts]
+        for lay in layouts:
+            val = pair(embed_certificate(base, lay, g.n), g, part)
+            if val < best_val:
+                best_val, best_lay = val, tuple(lay)
+    return best_val, best_lay
+
+
+def test_closed_form_cycle_pairing_matches_brute_force():
+    networkx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(61)
+    graphs = []
+    for h in networkx.graph_atlas_g():
+        if 0 < h.number_of_nodes() <= 6 and networkx.is_connected(h) \
+                and not networkx.is_chordal(h):
+            g = Graph.from_edges(h.number_of_nodes(), h.edges())
+            graphs.append(g)
+    assert len(graphs) == 61
+    for g in graphs:
+        cycles = induced_cycles_of_length(g, len(shortest_induced_cycle(g)), limit=64)
+        random = PartialSymmetricMatrix(
+            g.n, rng.uniform(0.5, 2.0, g.n), {e: rng.uniform(-1.0, 1.0) for e in g.edges}
+        )
+        for part in (hard_cycle_instance(g), random):
+            want_val, want_lay = brute_best_layout(g, part, cycles)
+            val, lay = _best_cycle_layout(part.scatter(0.0), cycles)
+            assert abs(val - want_val) <= 1e-12 * (1.0 + part.max_abs())
+            assert lay == want_lay
+
+
+def loop_block_scan(g, part, strict, tol=1e-9):
+    """Reference: one eigvalsh per maximal clique block, in clique order."""
+    a = part.scatter(0.0)
+    worst_clique, worst = None, math.inf
+    for K in maximal_cliques(g):
+        b = a[np.ix_(K, K)]
+        lam = float(np.linalg.eigvalsh(b)[0])
+        scale = 1.0 + float(np.max(np.abs(b)))
+        if (lam <= tol * scale) if strict else (lam < -tol * scale):
+            return False, K, lam
+        if lam < worst:
+            worst_clique, worst = K, lam
+    return True, worst_clique, worst
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_batched_block_scan_matches_per_block_loop(strict):
+    rng = np.random.default_rng(67)
+    # Cliques (0, 1), (1, 2, 3), (3, 4). Unit diagonal; an edge value v gives
+    # an edge block eigenvalue 1 - |v|, and 1.5 on the triangle gives -0.5.
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)])
+    tri = {(1, 2): 1.5, (1, 3): 1.5, (2, 3): 1.5}
+    cases = [
+        (g, PartialSymmetricMatrix(5, np.ones(5), {(0, 1): 1.2, **tri, (3, 4): 0.0})),
+        (g, PartialSymmetricMatrix(5, np.ones(5), {(0, 1): 0.0, **tri, (3, 4): 3.0})),
+        (g, PartialSymmetricMatrix(5, np.ones(5), {(0, 1): 1.0, (1, 2): 0.0, (1, 3): 0.0,
+                                                   (2, 3): 0.0, (3, 4): 0.5})),
+    ]
+    for _ in range(20):
+        h = random_graph(rng, int(rng.integers(3, 10)), 0.5)
+        cases.append((h, random_psd_partial(rng, h, rank=int(rng.integers(1, h.n + 1)))))
+        k = random_chordal(rng, int(rng.integers(3, 12)))
+        cases.append((k, random_psd_partial(rng, k)))
+    for h, part in cases:
+        a = part.scatter(0.0)
+        assert _clique_block_scan(a, maximal_cliques(h), strict, 1e-9) == \
+            loop_block_scan(h, part, strict)
+    # Two violating cliques: the first in sorted order is reported, not the worst.
+    assert _clique_block_scan(cases[0][1].scatter(0.0), maximal_cliques(g), strict,
+                              1e-9)[:2] == (False, (0, 1))
+    assert _clique_block_scan(cases[1][1].scatter(0.0), maximal_cliques(g), strict,
+                              1e-9)[:2] == (False, (1, 2, 3))

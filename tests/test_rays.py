@@ -6,6 +6,7 @@ import pytest
 from psdcomplete import (
     CertificateNotSupported,
     DegenerateConfiguration,
+    ExtremeRayCertificate,
     Graph,
     InvalidCycleLength,
     NotEnoughPoints,
@@ -20,7 +21,10 @@ from psdcomplete import (
     verify_certificate,
 )
 
-from helpers import complete_graph, hard_cycle_instance
+from psdcomplete.linalg import SUPPORT_TOL
+from psdcomplete.rays import _support_violation
+
+from helpers import complete_graph, hard_cycle_instance, random_graph
 
 
 def exact_cycle_ray_entries(m: int):
@@ -230,6 +234,39 @@ def test_pair_support_and_dimension_checks():
     part5 = PartialSymmetricMatrix(5, np.ones(5), {e: 0.0 for e in g5.edges})
     with pytest.raises(PatternMismatch):
         pair(cert, g5, part5)
+
+
+def test_support_violation_matches_slot_loop():
+    def loop(tau, g):
+        worst = 0.0
+        for i in range(g.n):
+            for j in range(i + 1, g.n):
+                if not g.has_edge(i, j):
+                    worst = max(worst, abs(float(tau[i, j])))
+        return worst
+
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 5, 9):
+        for p in (0.0, 0.5, 1.0):
+            g = random_graph(rng, n, p)
+            tau = rng.standard_normal((n, n))
+            assert _support_violation(tau, g) == loop(tau, g)
+
+
+def test_pair_support_tolerance_is_exact():
+    g = cycle_graph(4)
+    part = PartialSymmetricMatrix(4, np.ones(4), {e: 0.0 for e in g.edges})
+    cert = cycle_extreme_ray(4)
+    for mass, ok in ((SUPPORT_TOL, True), (2.0 * SUPPORT_TOL, False)):
+        tau = cert.tau.copy()
+        tau[0, 2] = tau[2, 0] = mass
+        leaky = ExtremeRayCertificate(tau, cert.points, cert.relation, cert.weights,
+                                      cert.kernel_form, cert.rank)
+        if ok:
+            assert pair(leaky, g, part) == pair(cert, g, part)
+        else:
+            with pytest.raises(CertificateNotSupported):
+                pair(leaky, g, part)
 
 
 def test_embed_certificate_preserves_validity():

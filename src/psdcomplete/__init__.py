@@ -60,7 +60,6 @@ from .linalg import (
     gram_factor,
     numeric_rank,
     psd_min_eig,
-    sym_eigen,
 )
 from .moments import (
     LatticePolygon,

@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help=f"relative tolerance (default {DEFAULT_TOL}, "
                             f"or ${ENV_TOL} when set)")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write the JSON report here instead of stdout")
 
@@ -89,9 +88,7 @@ def _load_graph(path: str) -> graphs.Graph:
 
 
 def _load_partial(path: str) -> completion.PartialSymmetricMatrix:
-    n, diag, entries = serialize.load_partial(serialize.load_json_file(path),
-                                              location=path)
-    return completion.PartialSymmetricMatrix(n, diag, entries)
+    return serialize.load_partial(serialize.load_json_file(path), location=path)
 
 
 def _run_analyze_graph(args, tol: float):
@@ -101,11 +98,9 @@ def _run_analyze_graph(args, tol: float):
     report = {
         "chordal": chordal,
         "clique_number": graphs.clique_number(g),
-        "shortest_induced_cycle": list(cyc.vertices) if cyc else None,
-        "gl_index": serialize.render_index(graphs.green_lazarsfeld_index(g))
-        if cyc else "infinity",
-        "hankel_index": serialize.render_index(graphs.hankel_index(g))
-        if cyc else "infinity",
+        "shortest_induced_cycle": list(cyc.vertices) if cyc is not None else None,
+        "gl_index": serialize.render_index(graphs.green_lazarsfeld_index(g)),
+        "hankel_index": serialize.render_index(graphs.hankel_index(g)),
         "tolerance": tol,
     }
     return report, False
@@ -155,7 +150,6 @@ def _run_extreme_ray(args, tol: float):
     cert = rays.cycle_extreme_ray(args.cycle)
     report = serialize.dump_certificate(cert)
     report["tolerance"] = tol
-    report["seed"] = args.seed
     return report, False
 
 

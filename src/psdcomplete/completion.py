@@ -1,7 +1,7 @@
 """PSD completion of graph-patterned partial matrices, with certificates of failure.
 
 A partial symmetric matrix specifies the diagonal and one value per edge of a
-pattern graph. Each call analyses the pattern once and then decides in
+pattern graph. A `Graph` analyses itself once, and each call decides in
 stages. A fully specified clique block that is not PSD refutes the data at
 once. Chordal patterns then complete constructively by Gram propagation,
 with completion rank bounded by the clique number. On non-chordal patterns a
@@ -19,16 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotChordal, NotPartiallyPositive, PatternMismatch
-from .graphs import (
-    Graph,
-    _chordal_analysis,
-    _clique_tree,
-    _induced_cycles,
-    _maximal_cliques,
-    _shortest_cycle_length,
-    edge_key,
-    rooted_clique_order,
-)
+from .graphs import Graph, edge_key, induced_cycles_of_length, rooted_clique_order
 from .linalg import (
     DEFAULT_TOL,
     GRAM_TOL,
@@ -51,6 +42,9 @@ __all__ = [
     "complete_or_certify",
     "pd_completion_exists",
 ]
+
+# Shortest chordless cycles tried for a cycle certificate, in canonical order.
+_CYCLE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -191,23 +185,16 @@ def _clique_block_scan(a: np.ndarray, cliques: list, strict: bool, tol: float):
     return not bad[t], cliques[t], float(lam[t])
 
 
-def _analyse(g: Graph, partial: PartialSymmetricMatrix):
-    """Validate the data against g and analyse the pattern once.
-
-    Returns (scattered data, adjacency, perfect elimination ordering or None
-    when g is not chordal, maximal cliques).
-    """
+def _scatter(g: Graph, partial: PartialSymmetricMatrix) -> np.ndarray:
+    """Validate the data against g and return it scattered into a dense matrix."""
     partial.validate_against(g)
-    adj, peo = _chordal_analysis(g)
-    a = check_symmetric(partial.scatter(0.0))
-    return a, adj, peo, _maximal_cliques(g, adj, peo)
+    return check_symmetric(partial.scatter(0.0))
 
 
 def partially_positive(g: Graph, partial: PartialSymmetricMatrix,
                        strict: bool = False, tol: float = DEFAULT_TOL) -> bool:
     """True iff every fully specified clique block is PSD (strict: PD)."""
-    a, _, _, cliques = _analyse(g, partial)
-    ok, _, _ = _clique_block_scan(a, cliques, strict, tol)
+    ok, _, _ = _clique_block_scan(_scatter(g, partial), g.cliques, strict, tol)
     return ok
 
 
@@ -223,26 +210,25 @@ def chordal_complete(g: Graph, partial: PartialSymmetricMatrix,
 
     Returns (completion, rank).
     """
-    a, _, peo, cliques = _analyse(g, partial)
-    if peo is None:
+    a = _scatter(g, partial)
+    if g.peo is None:
         raise NotChordal("pattern must be chordal for direct completion")
-    ok, clique, lam = _clique_block_scan(a, cliques, strict=False, tol=tol)
+    ok, clique, lam = _clique_block_scan(a, g.cliques, strict=False, tol=tol)
     if not ok:
         raise NotPartiallyPositive(
             f"clique block {clique} has eigenvalue {lam:.3e}", clique=clique, min_eig=lam
         )
-    return _propagate(a, cliques, tol)
+    return _propagate(g, a, tol)
 
 
-def _propagate(a: np.ndarray, cliques: list, tol: float):
+def _propagate(g: Graph, a: np.ndarray, tol: float):
     """Gram propagation of chordal_complete on scattered data a that is
-    partially positive on the maximal cliques of a chordal pattern."""
-    n = a.shape[0]
-    tree = _clique_tree(cliques)
-    order, _ = rooted_clique_order(tree)
+    partially positive on the maximal cliques of the chordal pattern g."""
+    n = g.n
+    tree = g.clique_tree
     vecs = {}
     r = 0
-    for idx in order:
+    for idx in rooted_clique_order(tree):
         K = tree.cliques[idx]
         fac = gram_factor(a[np.ix_(K, K)], tol)
         r_new = max(r, fac.rank)
@@ -286,15 +272,16 @@ def _best_cycle_layout(a: np.ndarray, cycles: list):
 
 
 def _cycle_certificate(g: Graph, partial: PartialSymmetricMatrix, a: np.ndarray,
-                       cycles: list, tol: float):
-    """Shortest-cycle extreme ray refuting the data, or (None, None).
+                       tol: float):
+    """An extreme ray that refutes the data, laid on one of the first
+    _CYCLE_LIMIT shortest chordless cycles of the non-chordal pattern g, or
+    (None, None).
 
     The layout is chosen in closed form; only a negative minimum is embedded
     and paired, and the pairing from rays.pair decides. Returns
     (certificate, pairing value).
     """
-    if not cycles:
-        return None, None
+    cycles = induced_cycles_of_length(g, len(g.shortest_cycle), limit=_CYCLE_LIMIT)
     val, lay = _best_cycle_layout(a, cycles)
     if val >= 0.0:
         return None, None
@@ -306,33 +293,30 @@ def _cycle_certificate(g: Graph, partial: PartialSymmetricMatrix, a: np.ndarray,
 
 
 def complete_or_certify(g: Graph, partial: PartialSymmetricMatrix,
-                        tol: float = DEFAULT_TOL, max_iter: int = 10000,
-                        cycle_limit: int = 64) -> CompletionReport:
+                        tol: float = DEFAULT_TOL, max_iter: int = 10000) -> CompletionReport:
     """Complete the data to a PSD matrix or certify that no completion exists.
 
     A non-PSD clique block refutes the data at once. Chordal patterns then
-    complete constructively. Otherwise up to cycle_limit shortest chordless
-    cycles are tried first: an extreme ray on one of them that pairs
+    complete constructively. Otherwise up to 64 shortest chordless cycles
+    are tried first: an extreme ray on one of them that pairs
     strictly negatively with the data certifies infeasibility. Only data no
     such ray refutes goes to the alternating projection search. With
     neither a certificate nor a witness the verdict is "undetermined" (the
     search is allowed to give up).
     """
-    a, adj, peo, cliques = _analyse(g, partial)
-    ok, clique, lam = _clique_block_scan(a, cliques, strict=False, tol=tol)
+    a = _scatter(g, partial)
+    ok, clique, lam = _clique_block_scan(a, g.cliques, strict=False, tol=tol)
     if not ok:
         return CompletionReport(
             verdict="infeasible",
             separating_value=lam,
             violating_clique=tuple(clique),
         )
-    if peo is not None:
-        c, rank = _propagate(a, cliques, tol)
+    if g.peo is not None:
+        c, rank = _propagate(g, a, tol)
         return CompletionReport(verdict="completed", completion=c, rank=rank)
 
-    m = _shortest_cycle_length(g, adj)
-    cycles = _induced_cycles(g, adj, m, limit=cycle_limit)
-    cert, val = _cycle_certificate(g, partial, a, cycles, tol)
+    cert, val = _cycle_certificate(g, partial, a, tol)
     if cert is not None:
         return CompletionReport(verdict="infeasible", certificate=cert, separating_value=val)
 
@@ -355,21 +339,20 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     probed by bisection on the eigenvalue floor; a negative certificate
     pairing proves "no", and an inconclusive search answers "undetermined".
     """
-    a, adj, peo, cliques = _analyse(g, partial)
-    ok, clique, lam = _clique_block_scan(a, cliques, strict=True, tol=tol)
+    a = _scatter(g, partial)
+    ok, clique, lam = _clique_block_scan(a, g.cliques, strict=True, tol=tol)
     if not ok:
         return PDExistenceVerdict(answer="no", failed_condition="clique_block")
 
-    if peo is not None:
+    if g.peo is not None:
         # Shift the diagonal down by half the worst block margin, complete,
         # then shift back up: a PD witness with margin s.
         s = 0.5 * lam
-        c, _ = _propagate(a - s * np.eye(g.n), cliques, tol)
+        c, _ = _propagate(g, a - s * np.eye(g.n), tol)
         witness = c + s * np.eye(g.n)
         return PDExistenceVerdict(answer="yes", witness=witness)
 
-    m = _shortest_cycle_length(g, adj)
-    cert, _ = _cycle_certificate(g, partial, a, _induced_cycles(g, adj, m, limit=64), tol)
+    cert, _ = _cycle_certificate(g, partial, a, tol)
     if cert is not None:
         return PDExistenceVerdict(answer="no", failed_condition="rank_bound")
 
@@ -386,6 +369,6 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
         if hi - lo <= 1e-12 * (1.0 + hi):
             break
     if witness is not None and psd_min_eig(witness) > 0.0 and \
-            numeric_rank(witness, tol) > g.n - m + 2:
+            numeric_rank(witness, tol) > g.n - len(g.shortest_cycle) + 2:
         return PDExistenceVerdict(answer="yes", witness=witness)
     return PDExistenceVerdict(answer="undetermined")

@@ -11,6 +11,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError, InvalidCycleLength, NotChordal
 
@@ -39,7 +40,19 @@ def edge_key(i: int, j: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with a deduplicated edge set."""
+    """Simple undirected graph on vertices 0..n-1 with a deduplicated edge set.
+
+    The pattern's analysis is fixed by the graph alone, so each part is
+    computed on first use and cached on the instance. The caches are not
+    fields: equality and hashing see only ``n`` and ``edges``.
+
+    - ``adjacency``: the neighbour set of each vertex, a tuple of frozensets.
+    - ``peo``: a perfect elimination ordering (tuple), None when not chordal.
+    - ``cliques``: the maximal cliques as sorted tuples, in sorted order.
+    - ``clique_tree``: the ``CliqueTree``, None when not chordal.
+    - ``shortest_cycle``: a shortest chordless cycle (``InducedCycle``),
+      None when chordal.
+    """
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
@@ -73,6 +86,56 @@ class Graph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return edge_key(i, j) in self.edges
+
+    @cached_property
+    def adjacency(self) -> tuple:
+        adj = [set() for _ in range(self.n)]
+        for i, j in self.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        return tuple(frozenset(s) for s in adj)
+
+    @cached_property
+    def peo(self):
+        # The reversed maximum cardinality search order is a perfect
+        # elimination ordering exactly when the graph is chordal.
+        peo = tuple(reversed(_mcs_order(self)))
+        return peo if _is_peo(self, peo) else None
+
+    @cached_property
+    def cliques(self) -> tuple:
+        return tuple(_maximal_cliques(self))
+
+    @cached_property
+    def clique_tree(self):
+        # Maximum-weight spanning tree over separator sizes, which yields the
+        # running intersection property. Candidate edges are taken in
+        # (-weight, i, j) order.
+        if self.peo is None:
+            return None
+        cliques = self.cliques
+        k = len(cliques)
+        sets = [set(c) for c in cliques]
+        cand = sorted(
+            (-(len(sets[i] & sets[j])), i, j) for i in range(k) for j in range(i + 1, k)
+        )
+        uf = _UnionFind(k)
+        tree_edges = []
+        separators = []
+        for _, i, j in cand:
+            if uf.union(i, j):
+                tree_edges.append((i, j))
+                separators.append(tuple(sorted(sets[i] & sets[j])))
+                if len(tree_edges) == k - 1:
+                    break
+        return CliqueTree(cliques, tuple(tree_edges), tuple(separators))
+
+    @cached_property
+    def shortest_cycle(self):
+        length = _shortest_cycle_length(self)
+        if length is None:
+            return None
+        return induced_cycles_of_length(self, length, limit=1)[0]
 
 
 def cycle_graph(m: int) -> Graph:
@@ -116,16 +179,9 @@ class CliqueTree:
     separators: tuple
 
 
-def _adjacency(g: Graph) -> list:
-    adj = [set() for _ in range(g.n)]
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
-def _mcs_order(g: Graph, adj) -> list:
+def _mcs_order(g: Graph) -> list:
     """Maximum cardinality search visit order; ties broken by lowest index."""
+    adj = g.adjacency
     weight = [0] * g.n
     visited = [False] * g.n
     order = []
@@ -140,8 +196,9 @@ def _mcs_order(g: Graph, adj) -> list:
     return order
 
 
-def _is_peo(g: Graph, adj, order) -> bool:
+def _is_peo(g: Graph, order) -> bool:
     """Check the perfect elimination property via the standard follower test."""
+    adj = g.adjacency
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
         later = [u for u in adj[v] if pos[u] > pos[v]]
@@ -154,20 +211,13 @@ def _is_peo(g: Graph, adj, order) -> bool:
     return True
 
 
-def _chordal_analysis(g: Graph):
-    """Adjacency sets and, when g is chordal, a perfect elimination ordering.
+def _maximal_cliques(g: Graph) -> list:
+    """Maximal cliques as in maximal_cliques.
 
-    One maximum cardinality search: its reversed visit order is a perfect
-    elimination ordering exactly when g is chordal. Returns ``(adj, peo)``
-    with ``peo`` None on non-chordal graphs.
+    Chordal graphs use the elimination ordering (at most n cliques); general
+    graphs fall back to Bron-Kerbosch with pivoting.
     """
-    adj = _adjacency(g)
-    peo = list(reversed(_mcs_order(g, adj)))
-    return adj, (peo if _is_peo(g, adj, peo) else None)
-
-
-def _maximal_cliques(g: Graph, adj, peo) -> list:
-    """Maximal cliques from a ``_chordal_analysis`` result, as in maximal_cliques."""
+    adj, peo = g.adjacency, g.peo
     if peo is not None:
         pos = {v: i for i, v in enumerate(peo)}
         cands = []
@@ -204,23 +254,18 @@ def is_chordal(g: Graph):
     ordering, or ``(False, InducedCycle)`` with a shortest chordless cycle
     of length >= 4 as witness.
     """
-    _, peo = _chordal_analysis(g)
-    if peo is not None:
-        return True, EliminationOrdering(tuple(peo))
-    return False, shortest_induced_cycle(g)
+    if g.peo is not None:
+        return True, EliminationOrdering(g.peo)
+    return False, g.shortest_cycle
 
 
 def maximal_cliques(g: Graph) -> list:
-    """All maximal cliques as sorted tuples, in sorted order.
-
-    Chordal graphs use the elimination ordering (at most n cliques); general
-    graphs fall back to Bron-Kerbosch with pivoting.
-    """
-    return _maximal_cliques(g, *_chordal_analysis(g))
+    """All maximal cliques as sorted tuples, in sorted order."""
+    return list(g.cliques)
 
 
 def clique_number(g: Graph) -> int:
-    return max(len(c) for c in maximal_cliques(g))
+    return max(len(c) for c in g.cliques)
 
 
 class _UnionFind:
@@ -245,39 +290,18 @@ def clique_tree(g: Graph) -> CliqueTree:
     """Clique tree of a chordal graph via a maximum-weight spanning tree.
 
     Tree edges maximize total separator size, which yields the running
-    intersection property. Deterministic: candidate edges are taken in
-    (-weight, i, j) order.
+    intersection property.
     """
-    adj, peo = _chordal_analysis(g)
-    if peo is None:
+    if g.clique_tree is None:
         raise NotChordal("clique trees are defined for chordal graphs only")
-    return _clique_tree(_maximal_cliques(g, adj, peo))
+    return g.clique_tree
 
 
-def _clique_tree(cliques: list) -> CliqueTree:
-    """clique_tree from the maximal cliques of a chordal graph."""
-    k = len(cliques)
-    sets = [set(c) for c in cliques]
-    cand = sorted(
-        (-(len(sets[i] & sets[j])), i, j) for i in range(k) for j in range(i + 1, k)
-    )
-    uf = _UnionFind(k)
-    tree_edges = []
-    separators = []
-    for negw, i, j in cand:
-        if uf.union(i, j):
-            tree_edges.append((i, j))
-            separators.append(tuple(sorted(sets[i] & sets[j])))
-            if len(tree_edges) == k - 1:
-                break
-    return CliqueTree(tuple(cliques), tuple(tree_edges), tuple(separators))
+def rooted_clique_order(tree: CliqueTree) -> list:
+    """Breadth-first clique ordering from the largest clique, as clique indices.
 
-
-def rooted_clique_order(tree: CliqueTree):
-    """Breadth-first clique ordering from the largest clique.
-
-    Returns ``(order, parent)`` where ``order`` lists clique indices root
-    first and ``parent[i]`` is the parent index (-1 for the root).
+    Each clique meets the union of the cliques before it inside its tree
+    parent, which comes earlier in the order.
     """
     k = len(tree.cliques)
     root = max(range(k), key=lambda i: (len(tree.cliques[i]), -i))
@@ -287,7 +311,6 @@ def rooted_clique_order(tree: CliqueTree):
         nbrs[j].append(i)
     for lst in nbrs:
         lst.sort()
-    parent = [-1] * k
     seen = [False] * k
     seen[root] = True
     order = [root]
@@ -297,18 +320,18 @@ def rooted_clique_order(tree: CliqueTree):
         for j in nbrs[i]:
             if not seen[j]:
                 seen[j] = True
-                parent[j] = i
                 order.append(j)
                 q.append(j)
-    return order, parent
+    return order
 
 
-def _shortest_cycle_length(g: Graph, adj):
+def _shortest_cycle_length(g: Graph):
     """Length of a shortest chordless cycle >= 4, or None.
 
     Per-edge search: for edge (u, v), a shortest u-v path avoiding their
     common neighbors (and the edge itself) closes into a chordless cycle.
     """
+    adj = g.adjacency
     nbrs = [sorted(s) for s in adj]
     best = None
     for u, v in g.sorted_edges():
@@ -341,11 +364,7 @@ def induced_cycles_of_length(g: Graph, length: int, limit=None) -> list:
     """
     if length < 4:
         raise InvalidCycleLength("induced cycles have length >= 4")
-    return _induced_cycles(g, _adjacency(g), length, limit)
-
-
-def _induced_cycles(g: Graph, adj, length: int, limit) -> list:
-    """induced_cycles_of_length over precomputed adjacency sets."""
+    adj = g.adjacency
     nbrs = [sorted(s) for s in adj]
     found = []
     for a in range(g.n):
@@ -402,21 +421,13 @@ def shortest_induced_cycle(g: Graph):
 
     Ties are broken by the lexicographically smallest canonical vertex list.
     """
-    adj = _adjacency(g)
-    length = _shortest_cycle_length(g, adj)
-    if length is None:
-        return None
-    cycles = _induced_cycles(g, adj, length, limit=1)
-    assert cycles, "per-edge search found a cycle, enumeration must too"
-    return cycles[0]
+    return g.shortest_cycle
 
 
 def green_lazarsfeld_index(g: Graph):
     """Shortest chordless cycle length minus 3; infinity for chordal graphs."""
-    cyc = shortest_induced_cycle(g)
-    if cyc is None:
-        return math.inf
-    return len(cyc) - 3
+    cyc = g.shortest_cycle
+    return math.inf if cyc is None else len(cyc) - 3
 
 
 def hankel_index(g: Graph):
@@ -424,7 +435,5 @@ def hankel_index(g: Graph):
 
     Always exceeds the Green-Lazarsfeld index by exactly one.
     """
-    cyc = shortest_induced_cycle(g)
-    if cyc is None:
-        return math.inf
-    return len(cyc) - 2
+    cyc = g.shortest_cycle
+    return math.inf if cyc is None else len(cyc) - 2

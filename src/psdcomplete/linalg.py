@@ -17,11 +17,9 @@ __all__ = [
     "SYM_TOL",
     "DEFAULT_TOL",
     "GRAM_TOL",
-    "ALIGN_TOL",
     "SUPPORT_TOL",
     "GramFactor",
     "check_symmetric",
-    "sym_eigen",
     "psd_min_eig",
     "numeric_rank",
     "gram_factor",
@@ -32,7 +30,6 @@ __all__ = [
 SYM_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 GRAM_TOL = 1e-8
-ALIGN_TOL = 1e-7
 SUPPORT_TOL = 1e-10
 
 
@@ -51,17 +48,6 @@ def check_symmetric(a, tol: float = SYM_TOL) -> np.ndarray:
     if gap > tol * scale:
         raise NotSymmetric(f"asymmetry {gap:.3e} exceeds {tol:.1e} * {scale:.3e}")
     return 0.5 * (a + a.T)
-
-
-def sym_eigen(a, tol: float = SYM_TOL):
-    """Full eigendecomposition of a symmetric matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` in descending order and the
-    matching orthonormal eigenvectors in the columns of ``v``.
-    """
-    a = check_symmetric(a, tol)
-    w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def psd_min_eig(a, tol: float = SYM_TOL) -> float:

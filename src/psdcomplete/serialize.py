@@ -1,7 +1,8 @@
 """JSON schemas for graphs, matrices, partial data, certificates, polygons, moments.
 
-Loaders validate shape and value constraints and raise InputError with a
-location breadcrumb; dumpers emit plain dicts ready for canonical_dumps,
+Loaders check the JSON shape and leave value constraints to the
+constructors they call; every failure is an InputError with a location
+breadcrumb. Dumpers emit plain dicts ready for canonical_dumps,
 which renders deterministic, byte-stable JSON (sorted keys, two-space
 indent, shortest round-trip floats).
 """
@@ -13,9 +14,10 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .completion import PartialSymmetricMatrix
+from .errors import InputError, PsdCompleteError
 from .graphs import Graph
-from .linalg import SYM_TOL
+from .linalg import check_symmetric
 from .moments import LatticePolygon, MomentOperator
 from .rays import ExtremeRayCertificate
 
@@ -70,6 +72,16 @@ def render_index(value):
     if value == math.inf:
         return "infinity"
     return int(value)
+
+
+def _build(make, location, *args, **kwargs):
+    """make(*args, **kwargs), with its validation errors re-raised as InputError at location."""
+    try:
+        return make(*args, **kwargs)
+    except InputError as exc:
+        raise InputError(exc.message, location=location, code=exc.code) from exc
+    except PsdCompleteError as exc:
+        raise InputError(str(exc), location=location, code="value") from exc
 
 
 def _require(obj, key, location):
@@ -127,10 +139,7 @@ def load_graph(obj, location="graph") -> Graph:
         i = _int_value(e[0], f"edges[{t}][0]", location)
         j = _int_value(e[1], f"edges[{t}][1]", location)
         edges.append((i, j))
-    try:
-        return Graph.from_edges(n, edges)
-    except InputError as exc:
-        raise InputError(exc.message, location=location, code=exc.code) from exc
+    return _build(Graph.from_edges, location, n, edges)
 
 
 def dump_graph(g: Graph) -> dict:
@@ -143,11 +152,7 @@ def load_matrix(obj, location="matrix") -> np.ndarray:
     if rows.shape != (n, n):
         raise InputError(f"rows shape {rows.shape} != ({n},{n})", location=location,
                          code="value")
-    scale = 1.0 + float(np.max(np.abs(rows)))
-    if float(np.max(np.abs(rows - rows.T))) > SYM_TOL * scale:
-        raise InputError("matrix is not symmetric within tolerance",
-                         location=location, code="value")
-    return 0.5 * (rows + rows.T)
+    return _build(check_symmetric, location, rows)
 
 
 def dump_matrix(a: np.ndarray) -> dict:
@@ -155,13 +160,9 @@ def dump_matrix(a: np.ndarray) -> dict:
     return {"n": int(a.shape[0]), "rows": _plain(a)}
 
 
-def load_partial(obj, location="partial"):
-    """Returns (n, diag, entries) for PartialSymmetricMatrix construction."""
+def load_partial(obj, location="partial") -> PartialSymmetricMatrix:
     n = _int_value(_require(obj, "n", location), "n", location)
     diag = _float_list(_require(obj, "diag", location), "diag", location)
-    if len(diag) != n:
-        raise InputError(f"diag length {len(diag)} != n={n}", location=location,
-                         code="value")
     raw = _require(obj, "entries", location)
     if not isinstance(raw, list):
         raise InputError("entries must be a list of [i, j, value] triples",
@@ -174,15 +175,12 @@ def load_partial(obj, location="partial"):
         i = _int_value(e[0], f"entries[{t}][0]", location)
         j = _int_value(e[1], f"entries[{t}][1]", location)
         v = _float_value(e[2], f"entries[{t}][2]", location)
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise InputError(f"entries[{t}] index ({i},{j}) invalid for n={n}",
-                             location=location, code="value")
         key = (min(i, j), max(i, j))
         if key in entries:
             raise InputError(f"duplicate entry for pair {key}", location=location,
                              code="value")
         entries[key] = v
-    return n, np.array(diag), entries
+    return _build(PartialSymmetricMatrix, location, n, np.array(diag), entries)
 
 
 def dump_partial(n: int, diag, entries) -> dict:
@@ -243,7 +241,7 @@ def load_polygon(obj, location="polygon") -> LatticePolygon:
         x = _int_value(v[0], f"vertices[{t}][0]", location)
         y = _int_value(v[1], f"vertices[{t}][1]", location)
         vs.append((x, y))
-    return LatticePolygon(tuple(vs))
+    return _build(LatticePolygon, location, tuple(vs))
 
 
 def load_moment_operator(obj, location="moment") -> MomentOperator:
@@ -254,9 +252,5 @@ def load_moment_operator(obj, location="moment") -> MomentOperator:
         raise InputError(f"basis must be \"grlex\", got {basis!r}", location=location,
                          code="schema")
     rows = _float_rows(_require(obj, "rows", location), "rows", location)
-    scale = 1.0 + float(np.max(np.abs(rows)))
-    if rows.shape[0] != rows.shape[1] or \
-            float(np.max(np.abs(rows - rows.T))) > SYM_TOL * scale:
-        raise InputError("moment matrix must be square and symmetric",
-                         location=location, code="value")
-    return MomentOperator(matrix=rows, num_vars=num_vars, degree=degree, basis=basis)
+    return _build(MomentOperator, location, matrix=rows, num_vars=num_vars, degree=degree,
+                  basis=basis)

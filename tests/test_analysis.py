@@ -1,0 +1,105 @@
+"""A Graph analyses itself once: every public entry point reads the same cache."""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from psdcomplete import (
+    canonical_dumps,
+    chordal_complete,
+    clique_number,
+    clique_tree,
+    complete_or_certify,
+    cycle_graph,
+    dump_graph,
+    green_lazarsfeld_index,
+    hankel_index,
+    is_chordal,
+    maximal_cliques,
+    pd_completion_exists,
+    shortest_induced_cycle,
+)
+from psdcomplete import graphs
+from psdcomplete.cli import main
+
+from helpers import hard_cycle_instance, petersen, random_chordal, random_psd_partial
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the maximum cardinality search and the shortest-cycle search."""
+    counts = Counter()
+    for name in ("_mcs_order", "_shortest_cycle_length"):
+        fn = getattr(graphs, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(graphs, name, counted)
+    return counts
+
+
+def _query_all(g):
+    is_chordal(g)
+    maximal_cliques(g)
+    clique_number(g)
+    shortest_induced_cycle(g)
+    green_lazarsfeld_index(g)
+    hankel_index(g)
+
+
+def test_non_chordal_graph_is_analysed_once(calls):
+    part = hard_cycle_instance(petersen())
+    calls.clear()
+    g = petersen()
+    _query_all(g)
+    for _ in range(2):
+        assert complete_or_certify(g, part).verdict == "infeasible"
+        assert pd_completion_exists(g, part).answer == "no"
+    _query_all(g)
+    assert calls == {"_mcs_order": 1, "_shortest_cycle_length": 1}
+
+
+def test_chordal_graph_is_analysed_once(calls):
+    rng = np.random.default_rng(5)
+    g = random_chordal(rng, 12)
+    part = random_psd_partial(rng, g)
+    _query_all(g)
+    clique_tree(g)
+    for _ in range(2):
+        assert complete_or_certify(g, part).verdict == "completed"
+        assert pd_completion_exists(g, part).answer == "yes"
+        chordal_complete(g, part)
+    _query_all(g)
+    clique_tree(g)
+    assert calls == {"_mcs_order": 1, "_shortest_cycle_length": 1}
+
+
+def test_analyze_graph_analyses_once(calls, capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(canonical_dumps(dump_graph(petersen())))
+    assert main(["analyze-graph", "--graph", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["hankel_index"] == 3
+    assert calls == {"_mcs_order": 1, "_shortest_cycle_length": 1}
+
+
+def test_returned_lists_do_not_alias_the_cache():
+    g = cycle_graph(5)
+    first = maximal_cliques(g)
+    want = list(first)
+    first.append((0, 2))
+    first.sort(reverse=True)
+    assert maximal_cliques(g) == want
+
+
+def test_analysed_graph_equals_and_hashes_like_a_fresh_one():
+    g = petersen()
+    _query_all(g)
+    fresh = petersen()
+    assert g == fresh
+    assert hash(g) == hash(fresh)
+    assert repr(g) == repr(fresh)
+    assert {fresh: "pattern"}[g] == "pattern"

@@ -108,7 +108,7 @@ def test_extreme_ray_matches_library(capsys):
     ref = cycle_extreme_ray(5)
     assert np.max(np.abs(cert.tau - ref.tau)) == 0.0
     assert cert.rank == 3
-    assert report["seed"] == 0
+    assert "seed" not in report
     code, _, _ = run(capsys, ["extreme-ray", "--cycle", "3"])
     assert code == 2
 
@@ -158,6 +158,37 @@ def test_moment_check(capsys, tmp_path):
     code, report, _ = run(capsys, ["moment-check", "--moment", mom, "--polygon", poly])
     assert code == 0
     assert report["verdict"] == "indeterminate"
+
+
+def test_loader_errors_name_their_file(capsys, tmp_path):
+    # A 5x5 matrix for 3 variables at degree 2 (basis size 6), an asymmetric
+    # moment matrix, an out-of-range partial entry and a degenerate polygon:
+    # each is refused by a constructor, and the report names the input file.
+    mom, poly = moment_files(tmp_path, np.eye(5))
+    code, report, _ = run(capsys, ["moment-check", "--moment", mom, "--polygon", poly])
+    assert code == 2
+    assert report["code"] == "value"
+    assert report["location"] == mom
+
+    lopsided = np.eye(6)
+    lopsided[0, 1] = 0.5
+    mom, poly = moment_files(tmp_path, lopsided)
+    code, report, _ = run(capsys, ["moment-check", "--moment", mom, "--polygon", poly])
+    assert code == 2
+    assert report["location"] == mom
+
+    graph = write_json(tmp_path / "graph.json", dump_graph(cycle_graph(4)))
+    partial = write_json(tmp_path / "partial.json",
+                         {"n": 4, "diag": [1, 1, 1, 1], "entries": [[0, 4, 0.5]]})
+    code, report, _ = run(capsys, ["complete", "--graph", graph, "--partial", partial])
+    assert code == 2
+    assert report["code"] == "value"
+    assert report["location"] == partial
+
+    flat = write_json(tmp_path / "flat.json", {"vertices": [[0, 0], [1, 0], [2, 0]]})
+    code, report, _ = run(capsys, ["toric", "--polygon", flat])
+    assert code == 2
+    assert report["location"] == flat
 
 
 def test_error_reports(capsys, tmp_path, c4_files):
@@ -226,6 +257,6 @@ def test_tol_env_var(capsys, c4_files, monkeypatch):
 def test_certificate_json_round_trip(capsys, tmp_path):
     code, report, _ = run(capsys, ["extreme-ray", "--cycle", "7"])
     assert code == 0
-    stripped = {k: v for k, v in report.items() if k not in ("tolerance", "seed")}
+    stripped = {k: v for k, v in report.items() if k != "tolerance"}
     again = json.loads(canonical_dumps(dump_certificate(load_certificate(stripped))))
     assert again == stripped

@@ -144,16 +144,15 @@ def _check_running_intersection(g, tree):
     assert covered_vertices == set(range(g.n))
     for i, j in g.edges:
         assert any(i in c and j in c for c in (set(c) for c in tree.cliques))
-    # Root-first: each clique meets the union of earlier ones inside its parent.
-    order, parent = rooted_clique_order(tree)
+    # Root-first, as Gram propagation walks it: each clique meets the union of
+    # the earlier ones inside one earlier clique.
+    order = rooted_clique_order(tree)
     assert sorted(order) == list(range(len(tree.cliques)))
     seen = set()
-    for idx in order:
+    for t, idx in enumerate(order):
         c = set(tree.cliques[idx])
-        if parent[idx] >= 0:
-            assert c & seen <= set(tree.cliques[parent[idx]])
-        else:
-            assert not c & seen
+        if t:
+            assert any(c & seen <= set(tree.cliques[j]) for j in order[:t])
         seen |= c
 
 

@@ -12,47 +12,15 @@ from psdcomplete import (
     gram_factor,
     numeric_rank,
     psd_min_eig,
-    sym_eigen,
 )
 from psdcomplete.linalg import check_symmetric
 
 from helpers import hard_cycle_instance, path_graph
 
 
-def test_sym_eigen_identity():
-    w, v = sym_eigen(np.eye(3))
-    assert np.allclose(w, [1.0, 1.0, 1.0])
-    assert np.allclose(v @ v.T, np.eye(3))
-
-
-def test_sym_eigen_descending():
-    w, _ = sym_eigen(np.diag([2.0, 0.0, -1.0]))
-    assert np.allclose(w, [2.0, 0.0, -1.0])
-
-
-def test_sym_eigen_all_ones():
-    w, v = sym_eigen(np.ones((3, 3)))
-    assert np.allclose(w, [3.0, 0.0, 0.0], atol=1e-12)
-    resid = np.ones((3, 3)) @ v - v * w
-    assert np.max(np.abs(resid)) <= 1e-9 * (1.0 + 3.0)
-
-
-def test_sym_eigen_contract_random():
-    rng = np.random.default_rng(0)
-    for _ in range(40):
-        n = int(rng.integers(1, 12))
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        w, v = sym_eigen(a)
-        norm = np.max(np.abs(w))
-        assert np.all(np.diff(w) <= 1e-12 * (1 + norm))
-        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-9
-        assert np.max(np.abs(a @ v - v * w)) <= 1e-9 * (1.0 + norm)
-
-
 def test_rejects_asymmetric():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for fn in (sym_eigen, psd_min_eig, numeric_rank, gram_factor):
+    for fn in (psd_min_eig, numeric_rank, gram_factor):
         with pytest.raises(NotSymmetric):
             fn(bad)
     with pytest.raises(NotSymmetric):

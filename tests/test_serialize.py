@@ -7,6 +7,7 @@ import pytest
 from psdcomplete import (
     Graph,
     InputError,
+    PartialSymmetricMatrix,
     canonical_dumps,
     cycle_extreme_ray,
     cycle_graph,
@@ -72,13 +73,14 @@ def test_partial_round_trip():
         "diag": [1.0, 2.0, 3.0],
         "entries": [[0, 1, 0.5], [1, 2, -0.25]],
     }
-    n2, diag2, entries2 = load_partial(obj)
-    assert n2 == n
-    assert np.array_equal(diag2, diag)
-    assert entries2 == entries
+    part = load_partial(obj)
+    assert isinstance(part, PartialSymmetricMatrix)
+    assert part.n == n
+    assert np.array_equal(part.diag, diag)
+    assert part.entries == entries
     # loader canonicalizes reversed index order to (min, max)
-    _, _, flipped = load_partial({"n": 3, "diag": [1, 1, 1], "entries": [[2, 1, 0.5]]})
-    assert flipped == {(1, 2): 0.5}
+    flipped = load_partial({"n": 3, "diag": [1, 1, 1], "entries": [[2, 1, 0.5]]})
+    assert flipped.entries == {(1, 2): 0.5}
     with pytest.raises(InputError) as err:
         load_partial({"n": 3, "diag": [1, 1, 1],
                       "entries": [[0, 1, 0.5], [1, 0, 0.25]]})

@@ -5,23 +5,24 @@ moment-check. Inputs and outputs are JSON; output is canonical (sorted keys,
 two-space indent), so repeated runs on the same inputs are byte-identical.
 
 Exit status: 0 on success, 1 when the verdict is negative (infeasible / no /
-not_psd), 2 on malformed input, reported as {"code", "message", "location"}.
-The tolerance may also be set through the PSDCOMPLETE_TOL environment
-variable; an explicit --tol wins.
+not_psd), 2 on malformed input, 3 when a completion fails the CLI's own
+re-validation against the input (an internal fault, not the input's). Errors
+are reported as {"code", "message", "location"}.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import completion, graphs, moments, rays, serialize
 from .errors import InputError, PsdCompleteError
 from .linalg import DEFAULT_TOL, GRAM_TOL, numeric_rank, psd_min_eig
 
-ENV_TOL = "PSDCOMPLETE_TOL"
+
+class _InternalError(Exception):
+    """A result failed the CLI's re-validation: a fault of the program."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,9 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"relative tolerance (default {DEFAULT_TOL}, "
-                            f"or ${ENV_TOL} when set)")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help=f"relative tolerance (default {DEFAULT_TOL})")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write the JSON report here instead of stdout")
 
@@ -68,19 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     return parser
-
-
-def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return float(args.tol)
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise InputError(f"invalid {ENV_TOL} value {env!r}",
-                             location=ENV_TOL, code="value") from exc
-    return DEFAULT_TOL
 
 
 def _load_graph(path: str) -> graphs.Graph:
@@ -116,7 +103,7 @@ def _run_complete(args, tol: float):
         slack = 10.0 * GRAM_TOL * (1.0 + part.max_abs())
         if completion.completion_residual(part, rep.completion) > slack or \
                 psd_min_eig(rep.completion) < -slack:
-            raise PsdCompleteError("completion failed re-validation against the input")
+            raise _InternalError("completion failed re-validation against the input")
     report = {
         "verdict": rep.verdict,
         "completion": serialize.dump_matrix(rep.completion)["rows"]
@@ -192,24 +179,27 @@ _RUNNERS = {
 }
 
 
+def _fail(status: int, code: str, message: str, location) -> int:
+    sys.stdout.write(serialize.canonical_dumps(
+        {"code": code, "message": message, "location": location}
+    ))
+    return status
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    tol = args.tol
     try:
-        tol = _resolve_tol(args)
         if not math.isfinite(tol) or tol < 0:
             raise InputError(f"tolerance must be a finite nonnegative number, got {tol}",
                              location="--tol", code="value")
         report, negative = _RUNNERS[args.command](args, tol)
     except InputError as exc:
-        sys.stdout.write(serialize.canonical_dumps(
-            {"code": exc.code, "message": exc.message, "location": exc.location}
-        ))
-        return 2
+        return _fail(2, exc.code, exc.message, exc.location)
     except PsdCompleteError as exc:
-        sys.stdout.write(serialize.canonical_dumps(
-            {"code": "value", "message": str(exc), "location": args.command}
-        ))
-        return 2
+        return _fail(2, "value", str(exc), args.command)
+    except _InternalError as exc:
+        return _fail(3, "internal", str(exc), args.command)
 
     text = serialize.canonical_dumps(report)
     if args.out:

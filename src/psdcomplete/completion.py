@@ -8,7 +8,11 @@ with completion rank bounded by the clique number. On non-chordal patterns a
 cycle extreme ray on a shortest chordless cycle is tried first, ranked over
 all layouts in closed form, and certifies infeasibility when it pairs
 negatively with the data; only data it does not refute goes to the
-feasibility search.
+feasibility search. Both entry points reach a completion through one step
+that asks for every eigenvalue to be at least a floor: Gram propagation of
+the shifted data on chordal patterns, the search elsewhere. A PSD completion
+asks for floor 0; a positive definite witness starts at half the smallest
+clique-block eigenvalue and halves the floor until one is found.
 """
 
 from __future__ import annotations
@@ -218,10 +222,11 @@ def chordal_complete(g: Graph, partial: PartialSymmetricMatrix,
         raise NotPartiallyPositive(
             f"clique block {clique} has eigenvalue {lam:.3e}", clique=clique, min_eig=lam
         )
-    return _propagate(g, a, tol)
+    c = _propagate(g, a, tol)
+    return c, numeric_rank(c, tol)
 
 
-def _propagate(g: Graph, a: np.ndarray, tol: float):
+def _propagate(g: Graph, a: np.ndarray, tol: float) -> np.ndarray:
     """Gram propagation of chordal_complete on scattered data a that is
     partially positive on the maximal cliques of the chordal pattern g."""
     n = g.n
@@ -245,8 +250,24 @@ def _propagate(g: Graph, a: np.ndarray, tol: float):
             vecs[K[t]] = rot @ q[t]
     basis = np.array([vecs[v] for v in range(n)]).reshape(n, r)
     c = basis @ basis.T
-    c = 0.5 * (c + c.T)
-    return c, numeric_rank(c, tol)
+    return 0.5 * (c + c.T)
+
+
+def _complete(g: Graph, partial: PartialSymmetricMatrix, a: np.ndarray, shift: float,
+              tol: float, max_iter: int):
+    """A completion of the data with every eigenvalue >= shift, or None.
+
+    Chordal patterns propagate Gram vectors of a - shift*I and add shift*I
+    back; the others run the feasibility search at that floor. A zero shift
+    leaves the propagated matrix untouched (adding 0.0 would turn -0.0 into
+    0.0).
+    """
+    if g.peo is None:
+        return affine_psd_feasibility(g, partial, shift=shift, max_iter=max_iter)
+    if not shift:
+        return _propagate(g, a, tol)
+    floor = shift * np.eye(g.n)
+    return _propagate(g, a - floor, tol) + floor
 
 
 def _best_cycle_layout(a: np.ndarray, cycles: list):
@@ -312,20 +333,15 @@ def complete_or_certify(g: Graph, partial: PartialSymmetricMatrix,
             separating_value=lam,
             violating_clique=tuple(clique),
         )
-    if g.peo is not None:
-        c, rank = _propagate(g, a, tol)
-        return CompletionReport(verdict="completed", completion=c, rank=rank)
-
-    cert, val = _cycle_certificate(g, partial, a, tol)
-    if cert is not None:
-        return CompletionReport(verdict="infeasible", certificate=cert, separating_value=val)
-
-    witness = affine_psd_feasibility(g, partial, shift=0.0, max_iter=max_iter)
-    if witness is not None:
-        return CompletionReport(
-            verdict="completed", completion=witness, rank=numeric_rank(witness, tol)
-        )
-    return CompletionReport(verdict="undetermined")
+    if g.peo is None:
+        cert, val = _cycle_certificate(g, partial, a, tol)
+        if cert is not None:
+            return CompletionReport(verdict="infeasible", certificate=cert,
+                                    separating_value=val)
+    c = _complete(g, partial, a, 0.0, tol, max_iter)
+    if c is None:
+        return CompletionReport(verdict="undetermined")
+    return CompletionReport(verdict="completed", completion=c, rank=numeric_rank(c, tol))
 
 
 def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
@@ -334,41 +350,29 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
 
     A PD completion exists iff (a) every fully specified block is PD and
     (b) some PSD completion has rank above n - m + 2, where m is the length
-    of a shortest chordless cycle; (b) is vacuous on chordal patterns.
-    Chordal patterns get a constructed witness. Non-chordal patterns are
-    probed by bisection on the eigenvalue floor; a negative certificate
-    pairing proves "no", and an inconclusive search answers "undetermined".
+    of a shortest chordless cycle; (b) is vacuous on chordal patterns. A PD
+    witness has rank n, so (b) needs no test of its own: the code looks for
+    the witness directly. On non-chordal patterns a negative cycle
+    certificate pairing proves "no" first. The witness search starts at the
+    eigenvalue floor s = half the smallest clique-block eigenvalue and halves
+    s while no completion with every eigenvalue >= s is found. The first
+    floor is always tried; the search stops once s <= 2 * GRAM_TOL * (1 +
+    max|data|), below which the search's own tolerance no longer guarantees
+    a PD witness, and answers "undetermined".
     """
     a = _scatter(g, partial)
-    ok, clique, lam = _clique_block_scan(a, g.cliques, strict=True, tol=tol)
+    ok, _, lam = _clique_block_scan(a, g.cliques, strict=True, tol=tol)
     if not ok:
         return PDExistenceVerdict(answer="no", failed_condition="clique_block")
-
-    if g.peo is not None:
-        # Shift the diagonal down by half the worst block margin, complete,
-        # then shift back up: a PD witness with margin s.
-        s = 0.5 * lam
-        c, _ = _propagate(g, a - s * np.eye(g.n), tol)
-        witness = c + s * np.eye(g.n)
-        return PDExistenceVerdict(answer="yes", witness=witness)
-
-    cert, _ = _cycle_certificate(g, partial, a, tol)
-    if cert is not None:
+    if g.peo is None and _cycle_certificate(g, partial, a, tol)[0] is not None:
         return PDExistenceVerdict(answer="no", failed_condition="rank_bound")
 
-    lo, hi = 0.0, float(np.max(partial.diag))
-    witness = None
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        cand = affine_psd_feasibility(g, partial, shift=mid, max_iter=max_iter)
-        if cand is not None:
-            witness = cand
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * (1.0 + hi):
-            break
-    if witness is not None and psd_min_eig(witness) > 0.0 and \
-            numeric_rank(witness, tol) > g.n - len(g.shortest_cycle) + 2:
-        return PDExistenceVerdict(answer="yes", witness=witness)
-    return PDExistenceVerdict(answer="undetermined")
+    stop = 2.0 * GRAM_TOL * (1.0 + partial.max_abs())
+    s = 0.5 * lam
+    while True:
+        witness = _complete(g, partial, a, s, tol, max_iter)
+        if witness is not None and psd_min_eig(witness) > 0.0:
+            return PDExistenceVerdict(answer="yes", witness=witness)
+        s *= 0.5
+        if s <= stop:
+            return PDExistenceVerdict(answer="undetermined")

@@ -51,7 +51,8 @@ class Graph:
     - ``cliques``: the maximal cliques as sorted tuples, in sorted order.
     - ``clique_tree``: the ``CliqueTree``, None when not chordal.
     - ``shortest_cycle``: a shortest chordless cycle (``InducedCycle``),
-      None when chordal.
+      None when chordal; the ``peo`` proves that at once, so a chordal graph
+      never runs the cycle search.
     """
 
     n: int
@@ -132,6 +133,8 @@ class Graph:
 
     @cached_property
     def shortest_cycle(self):
+        if self.peo is not None:
+            return None
         length = _shortest_cycle_length(self)
         if length is None:
             return None

@@ -14,6 +14,7 @@ from psdcomplete import (
     load_certificate,
     verify_certificate,
 )
+from psdcomplete import completion
 from psdcomplete.cli import main
 
 from helpers import hard_cycle_instance, path_graph
@@ -55,6 +56,9 @@ def test_analyze_graph(capsys, c4_files):
     assert report["gl_index"] == 1
     assert report["hankel_index"] == 2
     assert report["tolerance"] == 1e-9
+    code, report, _ = run(capsys, ["analyze-graph", "--graph", graph, "--tol", "1e-8"])
+    assert code == 0
+    assert report["tolerance"] == 1e-8
 
 
 def test_analyze_graph_chordal_renders_infinity(capsys, tmp_path):
@@ -238,20 +242,16 @@ def test_out_flag_and_determinism(capsys, tmp_path, c4_files):
     assert out.read_text() == text_a
 
 
-def test_tol_env_var(capsys, c4_files, monkeypatch):
-    graph, _, _ = c4_files
-    monkeypatch.setenv("PSDCOMPLETE_TOL", "1e-6")
-    code, report, _ = run(capsys, ["analyze-graph", "--graph", graph])
-    assert code == 0
-    assert report["tolerance"] == 1e-6
-    # explicit flag wins over the environment
-    code, report, _ = run(capsys, ["analyze-graph", "--graph", graph,
-                                   "--tol", "1e-8"])
-    assert report["tolerance"] == 1e-8
-    monkeypatch.setenv("PSDCOMPLETE_TOL", "soft")
-    code, report, _ = run(capsys, ["analyze-graph", "--graph", graph])
-    assert code == 2
-    assert report["location"] == "PSDCOMPLETE_TOL"
+def test_failed_revalidation_is_an_internal_fault(capsys, c4_files, monkeypatch):
+    # A completion that misses the data is the program's fault, not the input's.
+    graph, _, easy = c4_files
+    bad = completion.CompletionReport(verdict="completed", completion=np.zeros((4, 4)),
+                                      rank=0)
+    monkeypatch.setattr(completion, "complete_or_certify", lambda *args, **kwargs: bad)
+    code, report, _ = run(capsys, ["complete", "--graph", graph, "--partial", easy])
+    assert code == 3
+    assert report == {"code": "internal", "location": "complete",
+                      "message": "completion failed re-validation against the input"}
 
 
 def test_certificate_json_round_trip(capsys, tmp_path):

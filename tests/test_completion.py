@@ -12,6 +12,7 @@ from psdcomplete import (
     chordal_complete,
     clique_number,
     complete_or_certify,
+    completion_residual,
     cycle_extreme_ray,
     cycle_graph,
     embed_certificate,
@@ -28,6 +29,7 @@ from psdcomplete import (
 )
 from psdcomplete import completion
 from psdcomplete.completion import _best_cycle_layout, _clique_block_scan
+from psdcomplete.linalg import GRAM_TOL
 
 from helpers import (
     hard_cycle_instance,
@@ -213,10 +215,24 @@ def test_petersen_hard_instance_certified():
     assert rep.separating_value == pytest.approx(-1.0, abs=1e-9)  # -4/(m-1), m=5
 
 
-def test_pd_exists_c4_zeros():
+@pytest.fixture
+def searches(monkeypatch):
+    """The eigenvalue floor of each feasibility search, in call order."""
+    shifts = []
+    search = completion.affine_psd_feasibility
+
+    def counted(*args, **kwargs):
+        shifts.append(kwargs["shift"])
+        return search(*args, **kwargs)
+    monkeypatch.setattr(completion, "affine_psd_feasibility", counted)
+    return shifts
+
+
+def test_pd_exists_c4_zeros(searches):
     g, zeros, _ = c4_patterns()
     verdict = pd_completion_exists(g, zeros)
     assert verdict.answer == "yes"
+    assert searches == [0.5]  # the first floor: half the edge blocks' eigenvalue 1
     assert psd_min_eig(verdict.witness) > 0.0
     assert numeric_rank(verdict.witness) == 4
     assert np.max(np.abs(np.diagonal(verdict.witness) - 1.0)) <= 1e-8
@@ -251,18 +267,48 @@ def test_pd_exists_strictly_infeasible_cycle():
 
 def test_pd_exists_chordal():
     g = path_graph(3)
-    part = PartialSymmetricMatrix(3, np.array([1.0, 2.0, 1.0]), {(0, 1): 0.5, (1, 2): -0.5})
-    verdict = pd_completion_exists(g, part)
-    assert verdict.answer == "yes"
-    assert psd_min_eig(verdict.witness) > 0.0
-    assert np.max(np.abs(np.diagonal(verdict.witness) - part.diag)) <= 1e-8
-    for (i, j), v in part.entries.items():
-        assert abs(verdict.witness[i, j] - v) <= 1e-8
+    # The second data set has block margin 5e-9, just above tol: its first
+    # floor lies below the search's stopping floor and must still be tried.
+    near = 1.0 - 5e-9
+    for part in (
+        PartialSymmetricMatrix(3, np.array([1.0, 2.0, 1.0]), {(0, 1): 0.5, (1, 2): -0.5}),
+        PartialSymmetricMatrix(3, np.ones(3), {(0, 1): near, (1, 2): near}),
+    ):
+        verdict = pd_completion_exists(g, part)
+        assert verdict.answer == "yes"
+        assert psd_min_eig(verdict.witness) > 0.0
+        assert np.max(np.abs(np.diagonal(verdict.witness) - part.diag)) <= 1e-8
+        for (i, j), v in part.entries.items():
+            assert abs(verdict.witness[i, j] - v) <= 1e-8
 
     singular = PartialSymmetricMatrix(3, np.ones(3), {(0, 1): 1.0, (1, 2): 0.0})
     verdict = pd_completion_exists(g, singular)
     assert verdict.answer == "no"
     assert verdict.failed_condition == "clique_block"
+
+
+@pytest.mark.parametrize("c, max_iter, answer", [
+    (0.7, 2000, "yes"),
+    (math.cos(math.pi / 4), 50, "undetermined"),
+])
+def test_pd_exists_signed_c4(searches, c, max_iter, answer):
+    # Unit diagonal with (c, c, c, -c) around C4 has a PD completion iff
+    # arccos c > pi/4 (the cycle inequalities of Barrett-Johnson-Loewy).
+    # At c = 0.7 the first floors fail and a halved one succeeds; at
+    # c = cos(pi/4) the data is PSD- but not PD-completable.
+    g = cycle_graph(4)
+    part = PartialSymmetricMatrix(4, np.ones(4), {(0, 1): c, (1, 2): c, (2, 3): c,
+                                                  (0, 3): -c})
+    verdict = pd_completion_exists(g, part, max_iter=max_iter)
+    assert verdict.answer == answer
+    assert all(b == 0.5 * a for a, b in zip(searches, searches[1:]))
+    if answer == "yes":
+        assert len(searches) >= 2
+        assert psd_min_eig(verdict.witness) > 0.0
+        assert completion_residual(part, verdict.witness) <= 1e-8
+    else:
+        assert verdict.witness is None
+        assert searches[-1] > 2.0 * GRAM_TOL * 2.0 >= 0.5 * searches[-1]
 
 
 def test_pd_witness_agrees_with_psd_route():

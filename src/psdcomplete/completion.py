@@ -8,11 +8,15 @@ with completion rank bounded by the clique number. On non-chordal patterns a
 cycle extreme ray on a shortest chordless cycle is tried first, ranked over
 all layouts in closed form, and certifies infeasibility when it pairs
 negatively with the data; only data it does not refute goes to the
-feasibility search. Both entry points reach a completion through one step
-that asks for every eigenvalue to be at least a floor: Gram propagation of
-the shifted data on chordal patterns, the search elsewhere. A PSD completion
-asks for floor 0; a positive definite witness starts at half the smallest
-clique-block eigenvalue and halves the floor until one is found.
+feasibility search. That search (``linalg.affine_psd_feasibility``) returns
+the zero-filled data when it already meets the floor, and otherwise runs
+Newton's method on the max-det dual, which stops at a completion or at a
+pattern-supported PSD matrix pairing negatively with the data. Both entry
+points reach a completion through one step that asks for every eigenvalue
+to be at least a floor: Gram propagation of the shifted data on chordal
+patterns, the search elsewhere. A PSD completion asks for floor 0; a
+positive definite witness starts at half the smallest clique-block
+eigenvalue and halves the floor until one is found.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotChordal, NotPartiallyPositive, PatternMismatch
-from .graphs import Graph, edge_key, induced_cycles_of_length, rooted_clique_order
+from .graphs import Graph, edge_key, rooted_clique_order
 from .linalg import (
     DEFAULT_TOL,
     GRAM_TOL,
@@ -46,10 +50,6 @@ __all__ = [
     "complete_or_certify",
     "pd_completion_exists",
 ]
-
-# Shortest chordless cycles tried for a cycle certificate, in canonical order.
-_CYCLE_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class PartialSymmetricMatrix:
@@ -107,14 +107,6 @@ class PartialSymmetricMatrix:
         for (i, j), v in self.entries.items():
             a[i, j] = a[j, i] = v
         return a
-
-    def mask(self) -> np.ndarray:
-        """Boolean matrix marking the specified slots."""
-        m = np.zeros((self.n, self.n), dtype=bool)
-        np.fill_diagonal(m, True)
-        for i, j in self.entries:
-            m[i, j] = m[j, i] = True
-        return m
 
     def max_abs(self) -> float:
         vals = [abs(float(v)) for v in self.entries.values()]
@@ -294,16 +286,14 @@ def _best_cycle_layout(a: np.ndarray, cycles: list):
 
 def _cycle_certificate(g: Graph, partial: PartialSymmetricMatrix, a: np.ndarray,
                        tol: float):
-    """An extreme ray that refutes the data, laid on one of the first
-    _CYCLE_LIMIT shortest chordless cycles of the non-chordal pattern g, or
-    (None, None).
+    """An extreme ray that refutes the data, laid on one of the shortest
+    chordless cycles that the non-chordal pattern g keeps, or (None, None).
 
     The layout is chosen in closed form; only a negative minimum is embedded
     and paired, and the pairing from rays.pair decides. Returns
     (certificate, pairing value).
     """
-    cycles = induced_cycles_of_length(g, len(g.shortest_cycle), limit=_CYCLE_LIMIT)
-    val, lay = _best_cycle_layout(a, cycles)
+    val, lay = _best_cycle_layout(a, g.shortest_cycles)
     if val >= 0.0:
         return None, None
     cert = embed_certificate(cycle_extreme_ray(len(lay)), lay, g.n)
@@ -321,9 +311,11 @@ def complete_or_certify(g: Graph, partial: PartialSymmetricMatrix,
     complete constructively. Otherwise up to 64 shortest chordless cycles
     are tried first: an extreme ray on one of them that pairs
     strictly negatively with the data certifies infeasibility. Only data no
-    such ray refutes goes to the alternating projection search. With
-    neither a certificate nor a witness the verdict is "undetermined" (the
-    search is allowed to give up).
+    such ray refutes goes to the feasibility search, where max_iter caps the
+    Newton steps on the max-det dual. With neither a certificate nor a
+    witness the verdict is "undetermined": the search stopped at an iterate
+    that proves infeasibility but is not reported as a certificate, or it
+    gave up after max_iter steps or a stalled polish.
     """
     a = _scatter(g, partial)
     ok, clique, lam = _clique_block_scan(a, g.cliques, strict=False, tol=tol)
@@ -358,7 +350,8 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     s while no completion with every eigenvalue >= s is found. The first
     floor is always tried; the search stops once s <= 2 * GRAM_TOL * (1 +
     max|data|), below which the search's own tolerance no longer guarantees
-    a PD witness, and answers "undetermined".
+    a PD witness, and answers "undetermined". max_iter caps the Newton
+    steps of each non-chordal search.
     """
     a = _scatter(g, partial)
     ok, _, lam = _clique_block_scan(a, g.cliques, strict=True, tol=tol)

@@ -32,6 +32,10 @@ __all__ = [
     "hankel_index",
 ]
 
+# Shortest chordless cycles a Graph keeps, in canonical order; the cycle
+# certificate of the completion module tries each of them.
+_CYCLE_LIMIT = 64
+
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
     """Canonical (min, max) form of an undirected edge."""
@@ -50,9 +54,10 @@ class Graph:
     - ``peo``: a perfect elimination ordering (tuple), None when not chordal.
     - ``cliques``: the maximal cliques as sorted tuples, in sorted order.
     - ``clique_tree``: the ``CliqueTree``, None when not chordal.
-    - ``shortest_cycle``: a shortest chordless cycle (``InducedCycle``),
-      None when chordal; the ``peo`` proves that at once, so a chordal graph
-      never runs the cycle search.
+    - ``shortest_cycles``: the first 64 shortest chordless cycles
+      (``InducedCycle``) in canonical order, empty when chordal; the ``peo``
+      proves that at once, so a chordal graph never runs the cycle search.
+    - ``shortest_cycle``: the first of them, None when chordal.
     """
 
     n: int
@@ -132,13 +137,15 @@ class Graph:
         return CliqueTree(cliques, tuple(tree_edges), tuple(separators))
 
     @cached_property
-    def shortest_cycle(self):
+    def shortest_cycles(self) -> tuple:
         if self.peo is not None:
-            return None
+            return ()
         length = _shortest_cycle_length(self)
-        if length is None:
-            return None
-        return induced_cycles_of_length(self, length, limit=1)[0]
+        return tuple(induced_cycles_of_length(self, length, limit=_CYCLE_LIMIT))
+
+    @cached_property
+    def shortest_cycle(self):
+        return self.shortest_cycles[0] if self.shortest_cycles else None
 
 
 def cycle_graph(m: int) -> Graph:
@@ -371,11 +378,21 @@ def induced_cycles_of_length(g: Graph, length: int, limit=None) -> list:
     nbrs = [sorted(s) for s in adj]
     found = []
     for a in range(g.n):
-        # Static distance to a inside {v > a} is a lower bound used for pruning.
+        # The smallest vertex of a chordless cycle has two non-adjacent
+        # neighbours above it, so a vertex whose higher neighbours form a
+        # clique starts none.
+        up = [u for u in nbrs[a] if u > a]
+        if all(v in adj[u] for t, u in enumerate(up) for v in up[t + 1:]):
+            continue
+        # Static distance to a inside {v > a} is a lower bound used for
+        # pruning. A vertex of the cycle lies within length // 2 of a, so the
+        # search stops there and farther vertices count as unreachable.
         dist = {a: 0}
         q = deque([a])
         while q:
             x = q.popleft()
+            if dist[x] == length // 2:
+                continue
             for y in adj[x]:
                 if y > a and y not in dist:
                     dist[y] = dist[x] + 1

@@ -131,31 +131,119 @@ def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000
                            tol: float = GRAM_TOL):
     """Search for a completion of ``partial`` with all eigenvalues >= shift.
 
-    Alternating (Dykstra) projections between the shifted PSD cone and the
-    affine set of matrices matching the specified entries. Returns a witness
-    matrix satisfying the specified entries exactly with
-    ``psd_min_eig >= shift - tol * (1 + max specified magnitude)``, or None
-    if max_iter iterations find none. Absence of a witness is NOT an
-    infeasibility certificate.
+    With ``scale = 1 + max specified magnitude``, the zero-filled data is
+    returned as it stands when its smallest eigenvalue is at least
+    ``shift - tol * scale``. Otherwise damped Newton runs on the max-det
+    dual ``min <S, A - shift*I> - log det S`` over positive definite S
+    supported on the pattern, for at most max_iter steps, until ``S^-1``
+    matches the shifted data within ``0.1 * tol * scale``. If the line
+    search collapses because the iterates have drifted to the boundary of
+    the PSD cone, a Gauss-Newton polish of a Gram factor of ``S^-1``
+    finishes the job.
+
+    Returns a witness matrix satisfying the specified entries exactly with
+    ``psd_min_eig >= shift - tol * scale``, or None. None comes at once when
+    an iterate pairs negatively with the shifted data, ``<S, A - shift*I> <
+    -tol * scale * trace S``: S is then PSD and on the pattern, so no
+    completion exists. None after max_iter steps or a stalled polish is NOT
+    an infeasibility certificate.
     """
     partial.validate_against(g)
     n = g.n
-    target = partial.scatter(0.0)
-    mask = partial.mask()
     scale = 1.0 + partial.max_abs()
-    x = target.copy()
-    err = np.zeros((n, n))
+    a = partial.scatter(0.0)
+    if np.linalg.eigvalsh(a)[0] >= shift - tol * scale:
+        return a
+    # One slot per diagonal entry and per edge (i < j). An edge slot stands
+    # for two symmetric entries, hence its weight 2 in inner products.
+    edges = np.array(g.sorted_edges(), dtype=int).reshape(-1, 2)
+    i = np.concatenate([np.arange(n), edges[:, 0]])
+    j = np.concatenate([np.arange(n), edges[:, 1]])
+    w = np.where(i == j, 1.0, 2.0)
+    target = a[i, j] - np.where(i == j, shift, 0.0)
+    stop = 0.1 * tol * scale
+
+    y = np.where(i == j, 1.0 / np.maximum(target, tol * scale), 0.0)
+    s, low, f = _dual_point(n, i, j, w, target, y)
     for _ in range(max_iter):
-        z = x + err
-        w, v = np.linalg.eigh(0.5 * (z + z.T))
-        y = (v * np.clip(w, shift, None)) @ v.T
-        y = 0.5 * (y + y.T)
-        err = z - y
-        res = np.max(np.abs(y[mask] - target[mask]))
-        x = y.copy()
-        x[mask] = target[mask]
-        if res <= tol * scale:
-            lam = float(np.linalg.eigvalsh(0.5 * (x + x.T))[0])
-            if lam >= shift - tol * scale:
-                return 0.5 * (x + x.T)
+        if (w * y) @ target < -tol * scale * np.trace(s):
+            return None
+        inv = np.linalg.inv(low)
+        x = inv.T @ inv
+        r = target - x[i, j]
+        if np.max(np.abs(r)) <= stop:
+            break
+        grad = w * r
+        hess = 0.5 * np.outer(w, w) * (x[np.ix_(i, i)] * x[np.ix_(j, j)]
+                                       + x[np.ix_(i, j)] * x[np.ix_(j, i)])
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = None  # forced data: S^-1 has already lost rank
+        t = 1.0
+        while step is not None and t >= 1e-3:
+            cand = _dual_point(n, i, j, w, target, y + t * step)
+            if cand is not None and cand[2] <= f + 0.25 * t * (grad @ step):
+                break
+            t *= 0.5
+        else:  # the line search collapsed: S^-1 is near the PSD boundary
+            x = _polish(x, i, j, w, target, stop, tol)
+            if x is None:
+                return None
+            break
+        y = y + t * step
+        s, low, f = cand
+    else:
+        return None
+    x = 0.5 * (x + x.T) + shift * np.eye(n)
+    x[i, j] = x[j, i] = a[i, j]
+    if np.linalg.eigvalsh(x)[0] >= shift - tol * scale:
+        return x
     return None
+
+
+def _slot_matrix(n, i, j, v) -> np.ndarray:
+    """Symmetric n x n matrix holding v on the slots (i, j), zero elsewhere."""
+    m = np.zeros((n, n))
+    m[i, j] = v
+    m[j, i] = v
+    return m
+
+
+def _dual_point(n, i, j, w, target, y):
+    """(S, Cholesky factor of S, dual objective) at slot values y, or None when
+    S is not positive definite."""
+    s = _slot_matrix(n, i, j, y)
+    try:
+        low = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+    return s, low, (w * y) @ target - 2.0 * np.sum(np.log(np.diagonal(low)))
+
+
+def _polish(x, i, j, w, target, stop, tol):
+    """Gauss-Newton on a numeric-rank Gram factor B of x toward the slot targets.
+
+    Each step is ``B <- (I + L) B`` with L supported on the slots, solving
+    the linearised equations ``(L X + X L)[i, j] = target - X[i, j]`` for
+    ``X = B B^T`` (least squares: forced data makes them singular). ``B B^T``
+    stays PSD by construction. Returns it once within stop of the targets,
+    or None when a step fails to halve the residual.
+    """
+    n = x.shape[0]
+    b = gram_factor(x, tol).vectors
+    ii, ij = i[:, None] == i, i[:, None] == j
+    jj, ji = j[:, None] == j, j[:, None] == i
+    prev = np.inf
+    while True:
+        x = b @ b.T
+        r = target - x[i, j]
+        res = np.max(np.abs(r))
+        if res <= stop:
+            return x
+        if res > 0.5 * prev:
+            return None
+        prev = res
+        jac = 0.5 * w * (ii * x[np.ix_(j, j)] + ij * x[np.ix_(j, i)]
+                         + x[np.ix_(i, i)] * jj + x[np.ix_(i, j)] * ji)
+        b = b + _slot_matrix(n, i, j, np.linalg.lstsq(jac, r, rcond=None)[0]) @ b

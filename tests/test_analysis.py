@@ -21,7 +21,7 @@ from psdcomplete import (
     pd_completion_exists,
     shortest_induced_cycle,
 )
-from psdcomplete import graphs
+from psdcomplete import completion, graphs
 from psdcomplete.cli import main
 
 from helpers import hard_cycle_instance, petersen, random_chordal, random_psd_partial
@@ -29,15 +29,18 @@ from helpers import hard_cycle_instance, petersen, random_chordal, random_psd_pa
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the maximum cardinality search and the shortest-cycle search."""
+    """Counts of the maximum cardinality search, the shortest-cycle search and
+    the enumeration of shortest chordless cycles."""
     counts = Counter()
-    for name in ("_mcs_order", "_shortest_cycle_length"):
+    for name in ("_mcs_order", "_shortest_cycle_length", "induced_cycles_of_length"):
         fn = getattr(graphs, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(graphs, name, counted)
+        for mod in (graphs, completion):
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
     return counts
 
 
@@ -59,7 +62,8 @@ def test_non_chordal_graph_is_analysed_once(calls):
         assert complete_or_certify(g, part).verdict == "infeasible"
         assert pd_completion_exists(g, part).answer == "no"
     _query_all(g)
-    assert calls == {"_mcs_order": 1, "_shortest_cycle_length": 1}
+    assert calls == {"_mcs_order": 1, "_shortest_cycle_length": 1,
+                     "induced_cycles_of_length": 1}
 
 
 def test_chordal_graph_is_analysed_once(calls):
@@ -84,7 +88,8 @@ def test_analyze_graph_analyses_once(calls, capsys, tmp_path):
     assert main(["analyze-graph", "--graph", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["hankel_index"] == 3
-    assert calls == {"_mcs_order": 1, "_shortest_cycle_length": 1}
+    assert calls == {"_mcs_order": 1, "_shortest_cycle_length": 1,
+                     "induced_cycles_of_length": 1}
 
 
 def test_returned_lists_do_not_alias_the_cache():

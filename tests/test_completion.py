@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -287,19 +288,24 @@ def test_pd_exists_chordal():
     assert verdict.failed_condition == "clique_block"
 
 
-@pytest.mark.parametrize("c, max_iter, answer", [
-    (0.7, 2000, "yes"),
-    (math.cos(math.pi / 4), 50, "undetermined"),
+def signed_c4(c):
+    g = cycle_graph(4)
+    return g, PartialSymmetricMatrix(4, np.ones(4), {(0, 1): c, (1, 2): c, (2, 3): c,
+                                                     (0, 3): -c})
+
+
+@pytest.mark.parametrize("c, answer", [
+    (0.7, "yes"),
+    (math.cos(math.pi / 4), "undetermined"),
 ])
-def test_pd_exists_signed_c4(searches, c, max_iter, answer):
+def test_pd_exists_signed_c4(searches, c, answer):
     # Unit diagonal with (c, c, c, -c) around C4 has a PD completion iff
     # arccos c > pi/4 (the cycle inequalities of Barrett-Johnson-Loewy).
     # At c = 0.7 the first floors fail and a halved one succeeds; at
-    # c = cos(pi/4) the data is PSD- but not PD-completable.
-    g = cycle_graph(4)
-    part = PartialSymmetricMatrix(4, np.ones(4), {(0, 1): c, (1, 2): c, (2, 3): c,
-                                                  (0, 3): -c})
-    verdict = pd_completion_exists(g, part, max_iter=max_iter)
+    # c = cos(pi/4) the data is PSD- but not PD-completable. Both run at the
+    # default max_iter.
+    g, part = signed_c4(c)
+    verdict = pd_completion_exists(g, part)
     assert verdict.answer == answer
     assert all(b == 0.5 * a for a, b in zip(searches, searches[1:]))
     if answer == "yes":
@@ -309,6 +315,77 @@ def test_pd_exists_signed_c4(searches, c, max_iter, answer):
     else:
         assert verdict.witness is None
         assert searches[-1] > 2.0 * GRAM_TOL * 2.0 >= 0.5 * searches[-1]
+
+
+def test_boundary_c4_completes_at_rank_two():
+    # At c = cos(pi/4) the only completions are singular: rank 2.
+    g, part = signed_c4(math.cos(math.pi / 4))
+    rep = complete_or_certify(g, part)
+    assert rep.verdict == "completed"
+    assert rep.rank == 2
+    assert completion_residual(part, rep.completion) <= 1e-8 * 2.0
+    assert psd_min_eig(rep.completion) >= -1e-8 * 2.0
+
+
+def test_zero_diagonal_vertex_completes():
+    # Vertex 0 has diagonal 0, so its row of any PSD completion is 0; the
+    # other three vertices carry forced all-ones data on a path.
+    g = cycle_graph(4)
+    part = PartialSymmetricMatrix(4, np.array([0.0, 1.0, 1.0, 1.0]),
+                                  {(0, 1): 0.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 0.0})
+    rep = complete_or_certify(g, part)
+    assert rep.verdict == "completed"
+    assert rep.rank == 1
+    want = np.zeros((4, 4))
+    want[1:, 1:] = 1.0
+    assert np.max(np.abs(rep.completion - want)) <= 1e-7
+    assert psd_min_eig(rep.completion) >= -1e-8 * 2.0
+
+
+def atlas_nonchordal():
+    """Connected non-chordal graphs on at most 6 vertices, in atlas order."""
+    networkx = pytest.importorskip("networkx")
+    return [Graph.from_edges(h.number_of_nodes(), h.edges())
+            for h in networkx.graph_atlas_g()
+            if 0 < h.number_of_nodes() <= 6 and networkx.is_connected(h)
+            and not networkx.is_chordal(h)]
+
+
+@pytest.mark.parametrize("k", [3, 9, 12, 13, 14, 22])
+def test_rank_two_boundary_data_completes(k):
+    # Rank-2 Gram data has only singular completions on these patterns.
+    g = atlas_nonchordal()[k]
+    b = np.random.default_rng((1607, k)).standard_normal((2, g.n))
+    part = PartialSymmetricMatrix.from_full(g, b.T @ b / 2)
+    rep = complete_or_certify(g, part)
+    assert rep.verdict == "completed"
+    scale = 1.0 + part.max_abs()
+    assert completion_residual(part, rep.completion) <= 1e-8 * scale
+    assert psd_min_eig(rep.completion) >= -1e-8 * scale
+
+
+def test_hard_cycle_off_the_shortest_cycle_stops_early(monkeypatch):
+    # A hard C6 joined by an edge to a benign C4: the only cycle ray tried
+    # lies on the C4 and does not refute the data, so the search runs. An
+    # early Newton iterate pairs negatively with the data and ends it.
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(6 + i, 6 + (i + 1) % 4) for i in range(4)] + [(5, 6)]
+    g = Graph.from_edges(10, edges)
+    entries = {e: 0.0 for e in g.edges}
+    entries.update({(t, t + 1): 1.0 for t in range(5)})
+    entries[(0, 5)] = -1.0
+    part = PartialSymmetricMatrix(10, np.ones(10), entries)
+
+    calls = Counter()
+    for name in ("eigh", "eigvalsh", "cholesky", "inv", "solve", "lstsq"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert complete_or_certify(g, part).verdict == "undetermined"
+    # One solve per Newton step; every other factorisation is counted too.
+    assert 0 < calls["solve"] <= 10
+    assert sum(calls.values()) <= 50
 
 
 def test_pd_witness_agrees_with_psd_route():

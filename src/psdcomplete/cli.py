@@ -5,9 +5,10 @@ moment-check. Inputs and outputs are JSON; output is canonical (sorted keys,
 two-space indent), so repeated runs on the same inputs are byte-identical.
 
 Exit status: 0 on success, 1 when the verdict is negative (infeasible / no /
-not_psd), 2 on malformed input, 3 when a completion fails the CLI's own
-re-validation against the input (an internal fault, not the input's). Errors
-are reported as {"code", "message", "location"}.
+not_psd), 2 on malformed input or an unwritable --out file, 3 when a
+completion fails the CLI's own re-validation against the input (an internal
+fault, not the input's). Errors are reported as {"code", "message",
+"location"}.
 """
 
 from __future__ import annotations
@@ -190,8 +191,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     tol = args.tol
     try:
-        if not math.isfinite(tol) or tol < 0:
-            raise InputError(f"tolerance must be a finite nonnegative number, got {tol}",
+        if not math.isfinite(tol) or tol <= 0:
+            raise InputError(f"tolerance must be a finite positive number, got {tol}",
                              location="--tol", code="value")
         report, negative = _RUNNERS[args.command](args, tol)
     except InputError as exc:
@@ -203,8 +204,11 @@ def main(argv=None) -> int:
 
     text = serialize.canonical_dumps(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail(2, "io", str(exc), args.out)
     else:
         sys.stdout.write(text)
     return 1 if negative else 0

@@ -220,28 +220,25 @@ def chordal_complete(g: Graph, partial: PartialSymmetricMatrix,
 
 def _propagate(g: Graph, a: np.ndarray, tol: float) -> np.ndarray:
     """Gram propagation of chordal_complete on scattered data a that is
-    partially positive on the maximal cliques of the chordal pattern g."""
-    n = g.n
+    partially positive on the maximal cliques of the chordal pattern g.
+
+    The Gram vectors live in the first r columns of one n x omega array,
+    where r is the largest block rank so far; placed marks the vertices
+    that have one."""
     tree = g.clique_tree
-    vecs = {}
+    basis = np.zeros((g.n, max(len(K) for K in tree.cliques)))
+    placed = np.zeros(g.n, dtype=bool)
     r = 0
     for idx in rooted_clique_order(tree):
-        K = tree.cliques[idx]
+        K = np.array(tree.cliques[idx])
         fac = gram_factor(a[np.ix_(K, K)], tol)
-        r_new = max(r, fac.rank)
-        if r_new > r:
-            for v in vecs:
-                vecs[v] = np.append(vecs[v], np.zeros(r_new - r))
-            r = r_new
+        r = max(r, fac.rank)
         q = fac.padded(r)
-        sep = [t for t, v in enumerate(K) if v in vecs]
-        new = [t for t, v in enumerate(K) if v not in vecs]
-        p_sep = np.array([vecs[K[t]] for t in sep]).reshape(len(sep), r)
-        rot = align_gram(p_sep, q[sep], tol=GRAM_TOL)
-        for t in new:
-            vecs[K[t]] = rot @ q[t]
-    basis = np.array([vecs[v] for v in range(n)]).reshape(n, r)
-    c = basis @ basis.T
+        sep = placed[K]
+        rot = align_gram(basis[K[sep], :r], q[sep], tol=GRAM_TOL)
+        basis[K[~sep], :r] = q[~sep] @ rot.T
+        placed[K] = True
+    c = basis[:, :r] @ basis[:, :r].T
     return 0.5 * (c + c.T)
 
 

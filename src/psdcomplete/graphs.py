@@ -7,6 +7,7 @@ so repeated runs produce identical witnesses.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from collections import deque
@@ -48,11 +49,14 @@ class Graph:
 
     The pattern's analysis is fixed by the graph alone, so each part is
     computed on first use and cached on the instance. The caches are not
-    fields: equality and hashing see only ``n`` and ``edges``.
+    fields: equality and hashing see only ``n`` and ``edges``. One maximum
+    cardinality search yields the ``peo``, and on a chordal graph also its
+    ``cliques`` and ``clique_tree``.
 
     - ``adjacency``: the neighbour set of each vertex, a tuple of frozensets.
     - ``peo``: a perfect elimination ordering (tuple), None when not chordal.
-    - ``cliques``: the maximal cliques as sorted tuples, in sorted order.
+    - ``cliques``: the maximal cliques as sorted tuples, in sorted order;
+      read off the search when chordal, Bron-Kerbosch otherwise.
     - ``clique_tree``: the ``CliqueTree``, None when not chordal.
     - ``shortest_cycles``: the first 64 shortest chordless cycles
       (``InducedCycle``) in canonical order, empty when chordal; the ``peo``
@@ -102,38 +106,34 @@ class Graph:
         return tuple(frozenset(s) for s in adj)
 
     @cached_property
+    def _search(self):
+        return _mcs_order(self)
+
+    @cached_property
     def peo(self):
         # The reversed maximum cardinality search order is a perfect
         # elimination ordering exactly when the graph is chordal.
-        peo = tuple(reversed(_mcs_order(self)))
+        peo = tuple(reversed(self._search[0]))
         return peo if _is_peo(self, peo) else None
 
     @cached_property
     def cliques(self) -> tuple:
-        return tuple(_maximal_cliques(self))
+        if self.peo is None:
+            return tuple(_maximal_cliques(self))
+        return tuple(sorted(tuple(sorted(c)) for c in self._search[1]))
 
     @cached_property
     def clique_tree(self):
-        # Maximum-weight spanning tree over separator sizes, which yields the
-        # running intersection property. Candidate edges are taken in
-        # (-weight, i, j) order.
+        # Each clique the search started hangs from its parent clique; the
+        # edges are renumbered into the sorted clique order.
         if self.peo is None:
             return None
+        _, found, parent = self._search
         cliques = self.cliques
-        k = len(cliques)
-        sets = [set(c) for c in cliques]
-        cand = sorted(
-            (-(len(sets[i] & sets[j])), i, j) for i in range(k) for j in range(i + 1, k)
-        )
-        uf = _UnionFind(k)
-        tree_edges = []
-        separators = []
-        for _, i, j in cand:
-            if uf.union(i, j):
-                tree_edges.append((i, j))
-                separators.append(tuple(sorted(sets[i] & sets[j])))
-                if len(tree_edges) == k - 1:
-                    break
+        index = {c: t for t, c in enumerate(cliques)}
+        key = [index[tuple(sorted(c))] for c in found]
+        tree_edges = sorted(edge_key(key[t], key[p]) for t, p in enumerate(parent) if p >= 0)
+        separators = (tuple(sorted(set(cliques[i]) & set(cliques[j]))) for i, j in tree_edges)
         return CliqueTree(cliques, tuple(tree_edges), tuple(separators))
 
     @cached_property
@@ -180,8 +180,12 @@ class InducedCycle:
 class CliqueTree:
     """Maximal cliques joined into a tree whose edges carry the clique intersections.
 
-    Built so that the running intersection property holds: the cliques
-    containing any fixed vertex form a connected subtree.
+    ``cliques`` are sorted tuples in sorted order; ``tree_edges`` are sorted
+    ``(i, j)`` index pairs with ``i < j``, and ``separators[t]`` is the sorted
+    intersection of the two cliques of ``tree_edges[t]``. The running
+    intersection property holds: the cliques containing any fixed vertex form
+    a connected subtree. The cliques of different components are joined by
+    edges with empty separators, so the tree always spans every clique.
     """
 
     cliques: tuple
@@ -189,21 +193,46 @@ class CliqueTree:
     separators: tuple
 
 
-def _mcs_order(g: Graph) -> list:
-    """Maximum cardinality search visit order; ties broken by lowest index."""
+def _mcs_order(g: Graph) -> tuple:
+    """Maximum cardinality search, split into cliques as it numbers the vertices.
+
+    The next vertex has the most numbered neighbours, ties broken by lowest
+    index; a heap with lazy deletion finds it. Following Blair-Peyton, a
+    vertex with no more numbered neighbours than the vertex before it starts
+    a new clique of itself and those neighbours, whose parent is the clique
+    of the neighbour numbered last, or the previous clique when there is
+    none; any other vertex joins the current clique. On a chordal graph the
+    cliques are exactly the maximal cliques and the parents form a clique
+    tree.
+
+    Returns (visit order, cliques as vertex lists, parent clique index or -1).
+    """
     adj = g.adjacency
     weight = [0] * g.n
-    visited = [False] * g.n
-    order = []
-    for _ in range(g.n):
-        v = max((w, -u) for u, w in enumerate(weight) if not visited[u])[1]
-        v = -v
-        visited[v] = True
+    pos = [-1] * g.n
+    heap = [(0, v) for v in range(g.n)]
+    order, cliques, parent, home = [], [], [], [0] * g.n
+    prev = 0
+    while heap:
+        w, v = heapq.heappop(heap)
+        if pos[v] >= 0 or -w != weight[v]:
+            continue
+        numbered = [u for u in adj[v] if pos[u] >= 0]
+        if len(numbered) <= prev:
+            parent.append(home[max(numbered, key=pos.__getitem__)] if numbered
+                          else len(cliques) - 1)
+            cliques.append([v] + numbered)
+        else:
+            cliques[-1].append(v)
+        home[v] = len(cliques) - 1
+        prev = len(numbered)
+        pos[v] = len(order)
         order.append(v)
         for u in adj[v]:
-            if not visited[u]:
+            if pos[u] < 0:
                 weight[u] += 1
-    return order
+                heapq.heappush(heap, (-weight[u], u))
+    return order, cliques, parent
 
 
 def _is_peo(g: Graph, order) -> bool:
@@ -222,25 +251,9 @@ def _is_peo(g: Graph, order) -> bool:
 
 
 def _maximal_cliques(g: Graph) -> list:
-    """Maximal cliques as in maximal_cliques.
-
-    Chordal graphs use the elimination ordering (at most n cliques); general
-    graphs fall back to Bron-Kerbosch with pivoting.
-    """
-    adj, peo = g.adjacency, g.peo
-    if peo is not None:
-        pos = {v: i for i, v in enumerate(peo)}
-        cands = []
-        for v in peo:
-            c = {v} | {u for u in adj[v] if pos[u] > pos[v]}
-            cands.append(frozenset(c))
-        cands.sort(key=len, reverse=True)
-        kept = []
-        for c in cands:
-            if not any(c < k for k in kept):
-                kept.append(c)
-        return sorted(tuple(sorted(c)) for c in kept)
-
+    """Maximal cliques of a non-chordal graph as in maximal_cliques, by
+    Bron-Kerbosch with pivoting. Chordal graphs read theirs off the search."""
+    adj = g.adjacency
     out = []
 
     def expand(r, p, x):
@@ -278,28 +291,11 @@ def clique_number(g: Graph) -> int:
     return max(len(c) for c in g.cliques)
 
 
-class _UnionFind:
-    def __init__(self, k):
-        self.parent = list(range(k))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def clique_tree(g: Graph) -> CliqueTree:
-    """Clique tree of a chordal graph via a maximum-weight spanning tree.
+    """Clique tree of a chordal graph, read off its maximum cardinality search.
 
-    Tree edges maximize total separator size, which yields the running
+    Every clique tree is a maximum-weight spanning tree of the clique
+    intersection graph (weights are separator sizes) and has the running
     intersection property.
     """
     if g.clique_tree is None:

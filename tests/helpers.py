@@ -96,6 +96,22 @@ def brute_maximal_cliques(g: Graph):
     )
 
 
+def brute_mcs_order(g: Graph) -> list:
+    """Oracle: maximum cardinality search by scanning every unvisited vertex
+    for the most visited neighbours, ties broken by lowest index."""
+    weight = [0] * g.n
+    visited = [False] * g.n
+    order = []
+    for _ in range(g.n):
+        v = -max((w, -u) for u, w in enumerate(weight) if not visited[u])[1]
+        visited[v] = True
+        order.append(v)
+        for u in range(g.n):
+            if not visited[u] and g.has_edge(u, v):
+                weight[u] += 1
+    return order
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices (use only for small n)."""
     pairs = list(combinations(range(n), 2))

@@ -217,11 +217,13 @@ def test_error_reports(capsys, tmp_path, c4_files):
     assert code == 2
     assert report["code"] == "value"
 
-    code, report, _ = run(capsys, ["complete", "--graph", graph, "--partial", hard,
-                                   "--tol", "nan"])
-    assert code == 2
-    assert report["code"] == "value"
-    assert report["location"] == "--tol"
+    # At tol 0 round-off eigenvalues would refute valid data.
+    for tol in ("nan", "0"):
+        code, report, _ = run(capsys, ["complete", "--graph", graph, "--partial", hard,
+                                       "--tol", tol])
+        assert code == 2
+        assert report["code"] == "value"
+        assert report["location"] == "--tol"
 
 
 def test_out_flag_and_determinism(capsys, tmp_path, c4_files):
@@ -240,6 +242,13 @@ def test_out_flag_and_determinism(capsys, tmp_path, c4_files):
     assert code == 1
     assert capsys.readouterr().out == ""
     assert out.read_text() == text_a
+
+    # An unwritable --out is an input error, not a negative verdict.
+    missing = str(tmp_path / "absent" / "x.json")
+    code, report, _ = run(capsys, ["extreme-ray", "--cycle", "4", "--out", missing])
+    assert code == 2
+    assert report["code"] == "io"
+    assert report["location"] == missing
 
 
 def test_failed_revalidation_is_an_internal_fault(capsys, c4_files, monkeypatch):

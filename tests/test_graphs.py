@@ -1,5 +1,7 @@
 import math
+from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -19,11 +21,13 @@ from psdcomplete import (
     rooted_clique_order,
     shortest_induced_cycle,
 )
+from psdcomplete import graphs
 
 from helpers import (
     all_graphs,
     brute_is_chordal,
     brute_maximal_cliques,
+    brute_mcs_order,
     brute_shortest_chordless_cycle_length,
     complete_graph,
     path_graph,
@@ -81,6 +85,18 @@ def test_elimination_ordering_on_random_chordal_graphs():
         flag, witness = is_chordal(g)
         assert flag
         _check_elimination_ordering(g, witness.order)
+
+
+def test_search_order_matches_brute_force():
+    # The tie-break fixes the elimination ordering and the clique order.
+    rng = np.random.default_rng(41)
+    for t in range(120):
+        n = int(rng.integers(1, 41))
+        if t % 2:
+            g = random_chordal(rng, n, attach_hi=int(rng.integers(1, 9)))
+        else:
+            g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.6)))
+        assert graphs._mcs_order(g)[0] == brute_mcs_order(g)
 
 
 def test_chordality_matches_brute_force_exhaustive_small():
@@ -156,11 +172,36 @@ def _check_running_intersection(g, tree):
         seen |= c
 
 
+def _check_maximum_weight(tree):
+    # Oracle: a maximum spanning tree of the clique intersection graph, built
+    # over all clique pairs (empty intersections weigh 0, which joins
+    # components).
+    cliques = [set(c) for c in tree.cliques]
+    inter = nx.Graph()
+    inter.add_nodes_from(range(len(cliques)))
+    inter.add_weighted_edges_from(
+        (i, j, len(cliques[i] & cliques[j])) for i, j in combinations(range(len(cliques)), 2))
+    best = nx.maximum_spanning_tree(inter).size(weight="weight")
+    assert len(tree.tree_edges) == len(cliques) - 1
+    assert list(tree.tree_edges) == sorted(tree.tree_edges)
+    for (i, j), sep in zip(tree.tree_edges, tree.separators):
+        assert i < j
+        assert sep == tuple(sorted(cliques[i] & cliques[j]))
+    assert sum(len(sep) for sep in tree.separators) == best
+
+
 def test_clique_tree_running_intersection_random():
     rng = np.random.default_rng(17)
-    for _ in range(60):
-        g = random_chordal(rng, int(rng.integers(1, 16)))
-        _check_running_intersection(g, clique_tree(g))
+    patterns = [Graph(1), Graph(4), Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])]
+    patterns += [random_chordal(rng, int(rng.integers(1, 16))) for _ in range(60)]
+    patterns += [random_chordal(rng, int(rng.integers(16, 41)),
+                                attach_hi=int(rng.integers(1, 9))) for _ in range(40)]
+    # An empty anchor leaves random_chordal disconnected, so empty separators occur.
+    assert any(() in clique_tree(g).separators for g in patterns[3:])
+    for g in patterns:
+        tree = clique_tree(g)
+        _check_running_intersection(g, tree)
+        _check_maximum_weight(tree)
 
 
 def test_shortest_induced_cycle_examples():

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .graphs import (
     CliqueTree,
-    EliminationOrdering,
     Graph,
     InducedCycle,
     clique_number,

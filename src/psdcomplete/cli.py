@@ -19,7 +19,7 @@ import sys
 
 from . import completion, graphs, moments, rays, serialize
 from .errors import InputError, PsdCompleteError
-from .linalg import DEFAULT_TOL, GRAM_TOL, numeric_rank, psd_min_eig
+from .linalg import DEFAULT_TOL, numeric_rank, psd_min_eig
 
 
 class _InternalError(Exception):
@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help=f"relative tolerance (default {DEFAULT_TOL})")
+                       help=f"relative tolerance; every threshold is a fixed "
+                            f"multiple of it (default {DEFAULT_TOL})")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write the JSON report here instead of stdout")
 
@@ -100,10 +101,10 @@ def _run_complete(args, tol: float):
     rep = completion.complete_or_certify(g, part, tol=tol)
     if rep.completion is not None:
         # Re-validate before emitting: the completion must still match the
-        # data and be PSD at a small multiple of the working tolerance.
-        slack = 10.0 * GRAM_TOL * (1.0 + part.max_abs())
+        # data and be PSD at ten times the search's tolerance of 10 * tol.
+        slack = 10.0 * (10 * tol) * (1.0 + part.max_abs())
         if completion.completion_residual(part, rep.completion) > slack or \
-                psd_min_eig(rep.completion) < -slack:
+                psd_min_eig(rep.completion, tol) < -slack:
             raise _InternalError("completion failed re-validation against the input")
     report = {
         "verdict": rep.verdict,

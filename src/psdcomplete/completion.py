@@ -30,7 +30,6 @@ from .errors import NotChordal, NotPartiallyPositive, PatternMismatch
 from .graphs import Graph, edge_key, rooted_clique_order
 from .linalg import (
     DEFAULT_TOL,
-    GRAM_TOL,
     affine_psd_feasibility,
     align_gram,
     check_symmetric,
@@ -112,10 +111,6 @@ class PartialSymmetricMatrix:
         vals = [abs(float(v)) for v in self.entries.values()]
         vals.append(float(np.max(np.abs(self.diag))) if self.n else 0.0)
         return max(vals)
-
-    def with_diag(self, diag) -> "PartialSymmetricMatrix":
-        return PartialSymmetricMatrix(self.n, np.asarray(diag, dtype=float),
-                                      dict(self.entries))
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,7 @@ def _propagate(g: Graph, a: np.ndarray, tol: float) -> np.ndarray:
         r = max(r, fac.rank)
         q = fac.padded(r)
         sep = placed[K]
-        rot = align_gram(basis[K[sep], :r], q[sep], tol=GRAM_TOL)
+        rot = align_gram(basis[K[sep], :r], q[sep], tol)
         basis[K[~sep], :r] = q[~sep] @ rot.T
         placed[K] = True
     c = basis[:, :r] @ basis[:, :r].T
@@ -252,7 +247,8 @@ def _complete(g: Graph, partial: PartialSymmetricMatrix, a: np.ndarray, shift: f
     0.0).
     """
     if g.peo is None:
-        return affine_psd_feasibility(g, partial, shift=shift, max_iter=max_iter)
+        return affine_psd_feasibility(g, partial, shift=shift, max_iter=max_iter,
+                                      tol=tol)
     if not shift:
         return _propagate(g, a, tol)
     floor = shift * np.eye(g.n)
@@ -345,10 +341,10 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     certificate pairing proves "no" first. The witness search starts at the
     eigenvalue floor s = half the smallest clique-block eigenvalue and halves
     s while no completion with every eigenvalue >= s is found. The first
-    floor is always tried; the search stops once s <= 2 * GRAM_TOL * (1 +
-    max|data|), below which the search's own tolerance no longer guarantees
-    a PD witness, and answers "undetermined". max_iter caps the Newton
-    steps of each non-chordal search.
+    floor is always tried; the search stops once s <= 2 * (10 * tol) * (1 +
+    max|data|), below which the search's own tolerance of 10 * tol no
+    longer guarantees a PD witness, and answers "undetermined". max_iter
+    caps the Newton steps of each non-chordal search.
     """
     a = _scatter(g, partial)
     ok, _, lam = _clique_block_scan(a, g.cliques, strict=True, tol=tol)
@@ -357,11 +353,11 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     if g.peo is None and _cycle_certificate(g, partial, a, tol)[0] is not None:
         return PDExistenceVerdict(answer="no", failed_condition="rank_bound")
 
-    stop = 2.0 * GRAM_TOL * (1.0 + partial.max_abs())
+    stop = 2.0 * (10 * tol) * (1.0 + partial.max_abs())
     s = 0.5 * lam
     while True:
         witness = _complete(g, partial, a, s, tol, max_iter)
-        if witness is not None and psd_min_eig(witness) > 0.0:
+        if witness is not None and psd_min_eig(witness, tol) > 0.0:
             return PDExistenceVerdict(answer="yes", witness=witness)
         s *= 0.5
         if s <= stop:

@@ -18,7 +18,6 @@ from .errors import InputError, InvalidCycleLength, NotChordal
 
 __all__ = [
     "Graph",
-    "EliminationOrdering",
     "InducedCycle",
     "CliqueTree",
     "cycle_graph",
@@ -156,13 +155,6 @@ def cycle_graph(m: int) -> Graph:
 
 
 @dataclass(frozen=True)
-class EliminationOrdering:
-    """A perfect elimination ordering: later neighbors of each vertex form a clique."""
-
-    order: tuple
-
-
-@dataclass(frozen=True)
 class InducedCycle:
     """A chordless cycle, stored once in canonical vertex order.
 
@@ -273,12 +265,12 @@ def _maximal_cliques(g: Graph) -> list:
 def is_chordal(g: Graph):
     """Decide chordality of g.
 
-    Returns ``(True, EliminationOrdering)`` with a perfect elimination
-    ordering, or ``(False, InducedCycle)`` with a shortest chordless cycle
+    Returns ``(True, peo)`` with a perfect elimination ordering (a tuple
+    of vertices), or ``(False, InducedCycle)`` with a shortest chordless cycle
     of length >= 4 as witness.
     """
     if g.peo is not None:
-        return True, EliminationOrdering(g.peo)
+        return True, g.peo
     return False, g.shortest_cycle
 
 

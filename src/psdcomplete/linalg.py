@@ -3,6 +3,13 @@
 Tolerances are relative: a check at tolerance ``tol`` on a matrix ``A`` uses
 the scale ``1 + |A|`` (spectral or max-entry norm as appropriate), so all
 operations behave uniformly under rescaling of the data.
+
+``DEFAULT_TOL`` is the package's one tolerance value. Every threshold is a
+fixed multiple of the ``tol`` its caller passed, or of ``DEFAULT_TOL`` where
+a function takes none: ``tol / 1000`` for symmetry, ``tol / 10`` for
+certificate support, ``tol`` for eigenvalues, ranks and nonzero tests, and
+``10 * tol`` for Gram agreement and the feasibility search. The README
+lists every threshold with its multiple.
 """
 
 from __future__ import annotations
@@ -14,10 +21,7 @@ import numpy as np
 from .errors import GramMismatch, NotPSD, NotSymmetric
 
 __all__ = [
-    "SYM_TOL",
     "DEFAULT_TOL",
-    "GRAM_TOL",
-    "SUPPORT_TOL",
     "GramFactor",
     "check_symmetric",
     "psd_min_eig",
@@ -27,16 +31,13 @@ __all__ = [
     "affine_psd_feasibility",
 ]
 
-SYM_TOL = 1e-12
 DEFAULT_TOL = 1e-9
-GRAM_TOL = 1e-8
-SUPPORT_TOL = 1e-10
 
 
-def check_symmetric(a, tol: float = SYM_TOL) -> np.ndarray:
+def check_symmetric(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate symmetry of a square matrix and return its symmetrized copy.
 
-    Raises NotSymmetric when ``max|A - A^T| > tol * (1 + max|A|)``.
+    Raises NotSymmetric when ``max|A - A^T| > tol / 1000 * (1 + max|A|)``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -45,13 +46,14 @@ def check_symmetric(a, tol: float = SYM_TOL) -> np.ndarray:
         raise NotSymmetric("matrix entries must be finite")
     scale = 1.0 + (np.max(np.abs(a)) if a.size else 0.0)
     gap = np.max(np.abs(a - a.T)) if a.size else 0.0
+    tol = tol / 1000
     if gap > tol * scale:
         raise NotSymmetric(f"asymmetry {gap:.3e} exceeds {tol:.1e} * {scale:.3e}")
     return 0.5 * (a + a.T)
 
 
-def psd_min_eig(a, tol: float = SYM_TOL) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
+def psd_min_eig(a, tol: float = DEFAULT_TOL) -> float:
+    """Smallest eigenvalue of a symmetric matrix, checked by check_symmetric at tol."""
     a = check_symmetric(a, tol)
     return float(np.linalg.eigvalsh(a)[0])
 
@@ -99,12 +101,13 @@ def gram_factor(a, tol: float = DEFAULT_TOL) -> GramFactor:
     return GramFactor(vectors=vectors, rank=len(idx))
 
 
-def align_gram(p, q, tol: float = GRAM_TOL) -> np.ndarray:
+def align_gram(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal map T minimizing ``sum_i |T q_i - p_i|^2`` for matched vector lists.
 
     ``p`` and ``q`` are arrays of shape (s, r), one vector per row, required
-    to have equal Gram matrices within ``tol``; then the optimal T aligns the
-    configurations exactly up to that mismatch.
+    to have equal Gram matrices within ``10 * tol`` relative to ``1 + max``
+    Gram entry; then the optimal T aligns the configurations exactly up to
+    that mismatch.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -119,6 +122,7 @@ def align_gram(p, q, tol: float = GRAM_TOL) -> np.ndarray:
         gq = q @ q.T
         scale = 1.0 + max(np.max(np.abs(gp)), np.max(np.abs(gq)))
         gap = np.max(np.abs(gp - gq))
+        tol = 10 * tol
         if gap > tol * scale:
             raise GramMismatch(f"Gram gap {gap:.3e} exceeds {tol:.1e} * {scale:.3e}")
     if r == 0:
@@ -128,31 +132,32 @@ def align_gram(p, q, tol: float = GRAM_TOL) -> np.ndarray:
 
 
 def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000,
-                           tol: float = GRAM_TOL):
+                           tol: float = DEFAULT_TOL):
     """Search for a completion of ``partial`` with all eigenvalues >= shift.
 
-    With ``scale = 1 + max specified magnitude``, the zero-filled data is
-    returned as it stands when its smallest eigenvalue is at least
-    ``shift - tol * scale``. Otherwise damped Newton runs on the max-det
-    dual ``min <S, A - shift*I> - log det S`` over positive definite S
-    supported on the pattern, for at most max_iter steps, until ``S^-1``
-    matches the shifted data within ``0.1 * tol * scale``. If the line
-    search collapses because the iterates have drifted to the boundary of
-    the PSD cone, a Gauss-Newton polish of a Gram factor of ``S^-1``
-    finishes the job.
+    With ``scale = 1 + max specified magnitude`` and the search's own
+    tolerance ``eps = 10 * tol``, the zero-filled data is returned as it
+    stands when its smallest eigenvalue is at least ``shift - eps * scale``.
+    Otherwise damped Newton runs on the max-det dual ``min <S, A - shift*I>
+    - log det S`` over positive definite S supported on the pattern, for at
+    most max_iter steps, until ``S^-1`` matches the shifted data within
+    ``0.1 * eps * scale``. If the line search collapses because the iterates
+    have drifted to the boundary of the PSD cone, a Gauss-Newton polish of a
+    Gram factor of ``S^-1`` finishes the job.
 
     Returns a witness matrix satisfying the specified entries exactly with
-    ``psd_min_eig >= shift - tol * scale``, or None. None comes at once when
+    ``psd_min_eig >= shift - eps * scale``, or None. None comes at once when
     an iterate pairs negatively with the shifted data, ``<S, A - shift*I> <
-    -tol * scale * trace S``: S is then PSD and on the pattern, so no
+    -eps * scale * trace S``: S is then PSD and on the pattern, so no
     completion exists. None after max_iter steps or a stalled polish is NOT
     an infeasibility certificate.
     """
     partial.validate_against(g)
     n = g.n
+    eps = 10 * tol
     scale = 1.0 + partial.max_abs()
     a = partial.scatter(0.0)
-    if np.linalg.eigvalsh(a)[0] >= shift - tol * scale:
+    if np.linalg.eigvalsh(a)[0] >= shift - eps * scale:
         return a
     # One slot per diagonal entry and per edge (i < j). An edge slot stands
     # for two symmetric entries, hence its weight 2 in inner products.
@@ -161,12 +166,12 @@ def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000
     j = np.concatenate([np.arange(n), edges[:, 1]])
     w = np.where(i == j, 1.0, 2.0)
     target = a[i, j] - np.where(i == j, shift, 0.0)
-    stop = 0.1 * tol * scale
+    stop = 0.1 * eps * scale
 
-    y = np.where(i == j, 1.0 / np.maximum(target, tol * scale), 0.0)
+    y = np.where(i == j, 1.0 / np.maximum(target, eps * scale), 0.0)
     s, low, f = _dual_point(n, i, j, w, target, y)
     for _ in range(max_iter):
-        if (w * y) @ target < -tol * scale * np.trace(s):
+        if (w * y) @ target < -eps * scale * np.trace(s):
             return None
         inv = np.linalg.inv(low)
         x = inv.T @ inv
@@ -187,7 +192,7 @@ def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000
                 break
             t *= 0.5
         else:  # the line search collapsed: S^-1 is near the PSD boundary
-            x = _polish(x, i, j, w, target, stop, tol)
+            x = _polish(x, i, j, w, target, stop, eps)
             if x is None:
                 return None
             break
@@ -197,7 +202,7 @@ def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000
         return None
     x = 0.5 * (x + x.T) + shift * np.eye(n)
     x[i, j] = x[j, i] = a[i, j]
-    if np.linalg.eigvalsh(x)[0] >= shift - tol * scale:
+    if np.linalg.eigvalsh(x)[0] >= shift - eps * scale:
         return x
     return None
 

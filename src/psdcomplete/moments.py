@@ -189,7 +189,7 @@ def moment_representable(op: MomentOperator, hankel_bound: int,
     if not isinstance(hankel_bound, int) or hankel_bound < 2:
         raise InputError(f"hankel_bound must be an integer >= 2, got {hankel_bound!r}",
                          code="value")
-    lam = psd_min_eig(op.matrix)
+    lam = psd_min_eig(op.matrix, tol)
     scale = 1.0 + float(np.max(np.abs(op.matrix)))
     if lam < -tol * scale:
         return "not_psd"

@@ -20,7 +20,7 @@ from .errors import (
     PatternMismatch,
 )
 from .graphs import Graph
-from .linalg import DEFAULT_TOL, SUPPORT_TOL, check_symmetric, numeric_rank
+from .linalg import DEFAULT_TOL, check_symmetric, numeric_rank
 
 __all__ = [
     "ExtremeRayCertificate",
@@ -30,8 +30,6 @@ __all__ = [
     "pair",
     "verify_certificate",
 ]
-
-_NONZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,13 +126,13 @@ def extreme_ray_from_points(points, head_weights=None, seed: int = 0) -> Extreme
 
     u_full, sig, _ = np.linalg.svd(pts, full_matrices=True)
     smax = sig[0] if sig.size else 0.0
-    rank = int(np.sum(sig > 1e-10 * max(smax, 1e-300)))
+    rank = int(np.sum(sig > DEFAULT_TOL / 10 * max(smax, 1e-300)))
     if rank != s - 1:
         raise DegenerateConfiguration(
             f"points must have exactly one linear dependence: rank {rank}, expected {s - 1}"
         )
     u = u_full[:, s - 1].copy()
-    if np.min(np.abs(u)) <= _NONZERO_TOL * np.max(np.abs(u)):
+    if np.min(np.abs(u)) <= DEFAULT_TOL * np.max(np.abs(u)):
         raise DegenerateConfiguration("dependence has a vanishing coefficient")
     u /= -u[s - 1]
     c = u[:-1].copy()
@@ -157,7 +155,7 @@ def extreme_ray_from_points(points, head_weights=None, seed: int = 0) -> Extreme
         ell = np.linalg.lstsq(head, v, rcond=None)[0]
         vals = pts @ ell
         scales = 1.0 + np.linalg.norm(pts, axis=1) * np.linalg.norm(ell)
-        if np.all(np.abs(vals) > _NONZERO_TOL * scales):
+        if np.all(np.abs(vals) > DEFAULT_TOL * scales):
             return ExtremeRayCertificate(
                 tau=tau,
                 points=pts.copy(),
@@ -217,7 +215,7 @@ def pair(cert: ExtremeRayCertificate, g: Graph, partial) -> float:
         raise PatternMismatch(
             f"certificate dimension {cert.tau.shape[0]} != pattern dimension {g.n}"
         )
-    if _support_violation(cert.tau, g) > SUPPORT_TOL:
+    if _support_violation(cert.tau, g) > DEFAULT_TOL / 10:
         raise CertificateNotSupported("certificate has mass on a non-edge slot")
     val = float(np.sum(np.diagonal(cert.tau) * partial.diag))
     for (i, j), a in partial.entries.items():
@@ -240,22 +238,22 @@ def verify_certificate(cert: ExtremeRayCertificate, g: Graph, tol: float = DEFAU
     if cert.relation.shape != (s,) or cert.weights.shape != (s,):
         return False
     try:
-        tau = check_symmetric(cert.tau)
+        tau = check_symmetric(cert.tau, tol)
     except Exception:
         return False
 
     pts = cert.points
     u = cert.relation
     uscale = float(np.max(np.abs(u))) if u.size else 0.0
-    if uscale == 0.0 or np.min(np.abs(u)) <= 1e-12 * uscale:
+    if uscale == 0.0 or np.min(np.abs(u)) <= tol / 1000 * uscale:
         return False
     combo = u @ pts
-    if np.linalg.norm(combo) > 1e-9 * (1.0 + uscale * float(np.max(np.abs(pts)))):
+    if np.linalg.norm(combo) > tol * (1.0 + uscale * float(np.max(np.abs(pts)))):
         return False
 
     assembled = (pts.T * cert.weights) @ pts
     scale = 1.0 + float(np.max(np.abs(assembled)))
-    if np.max(np.abs(assembled - tau)) > 1e-10 * scale:
+    if np.max(np.abs(assembled - tau)) > tol / 10 * scale:
         return False
 
     w = np.linalg.eigvalsh(tau)
@@ -268,13 +266,13 @@ def verify_certificate(cert: ExtremeRayCertificate, g: Graph, tol: float = DEFAU
     ell = cert.kernel_form
     if ell.shape != (n,):
         return False
-    if np.linalg.norm(tau @ ell) > 1e-8 * (1.0 + lam * float(np.linalg.norm(ell))):
+    if np.linalg.norm(tau @ ell) > 10 * tol * (1.0 + lam * float(np.linalg.norm(ell))):
         return False
     vals = pts @ ell
     scales = 1.0 + np.linalg.norm(pts, axis=1) * float(np.linalg.norm(ell))
-    if not np.all(np.abs(vals) > _NONZERO_TOL * scales):
+    if not np.all(np.abs(vals) > tol * scales):
         return False
 
-    if _support_violation(tau, g) > SUPPORT_TOL:
+    if _support_violation(tau, g) > tol / 10:
         return False
     return True

@@ -263,6 +263,28 @@ def test_failed_revalidation_is_an_internal_fault(capsys, c4_files, monkeypatch)
                       "message": "completion failed re-validation against the input"}
 
 
+@pytest.mark.parametrize("edges", [[[0, 1]], [[0, 1], [1, 2]]], ids=["edge", "path"])
+def test_tol_reaches_every_threshold(capsys, tmp_path, edges):
+    # Edge (0, 1) holds 1 + 5e-7, so its block's smallest eigenvalue is
+    # -5e-7: refuted at the default tol, accepted at tol 1e-6. An accepted
+    # block must also pass Gram propagation and re-validation at that tol.
+    n = len(edges) + 1
+    graph = write_json(tmp_path / "graph.json", {"n": n, "edges": edges})
+    partial = write_json(tmp_path / "partial.json", {
+        "n": n, "diag": [1.0] * n,
+        "entries": [[i, j, 1.0 + 5e-7 if (i, j) == (0, 1) else 1.0] for i, j in edges],
+    })
+    argv = ["complete", "--graph", graph, "--partial", partial]
+    code, report, _ = run(capsys, argv)
+    assert code == 1
+    assert report["verdict"] == "infeasible"
+    assert report["violating_clique"] == [0, 1]
+    code, report, _ = run(capsys, argv + ["--tol", "1e-6"])
+    assert code == 0
+    assert report["verdict"] == "completed"
+    assert report["rank"] == 1
+
+
 def test_certificate_json_round_trip(capsys, tmp_path):
     code, report, _ = run(capsys, ["extreme-ray", "--cycle", "7"])
     assert code == 0

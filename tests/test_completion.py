@@ -30,7 +30,7 @@ from psdcomplete import (
 )
 from psdcomplete import completion
 from psdcomplete.completion import _best_cycle_layout, _clique_block_scan
-from psdcomplete.linalg import GRAM_TOL
+from psdcomplete.linalg import DEFAULT_TOL
 
 from helpers import (
     hard_cycle_instance,
@@ -314,7 +314,7 @@ def test_pd_exists_signed_c4(searches, c, answer):
         assert completion_residual(part, verdict.witness) <= 1e-8
     else:
         assert verdict.witness is None
-        assert searches[-1] > 2.0 * GRAM_TOL * 2.0 >= 0.5 * searches[-1]
+        assert searches[-1] > 2.0 * (10 * DEFAULT_TOL) * 2.0 >= 0.5 * searches[-1]
 
 
 def test_boundary_c4_completes_at_rank_two():
@@ -325,6 +325,28 @@ def test_boundary_c4_completes_at_rank_two():
     assert rep.rank == 2
     assert completion_residual(part, rep.completion) <= 1e-8 * 2.0
     assert psd_min_eig(rep.completion) >= -1e-8 * 2.0
+
+
+def test_chordal_complete_honours_tol():
+    # The block scan accepts the first edge at tol = 1e-7; Gram propagation
+    # must then align the second block at that tol, not at a fixed one.
+    g = path_graph(3)
+    part = PartialSymmetricMatrix(3, np.ones(3), {(0, 1): 1.0 + 5e-8, (1, 2): 1.0})
+    c, rank = chordal_complete(g, part, tol=1e-7)
+    assert rank == 1
+    assert completion_residual(part, c) <= 1e-7
+
+
+def test_complete_just_infeasible_c4_within_tol():
+    # Just past the boundary cos(pi/4), but within tol = 1e-6 of it: the
+    # search must run at that tol and accept a completion.
+    c = math.cos(math.pi / 4) + 1e-7
+    g, part = signed_c4(c)
+    tol = 1e-6
+    rep = complete_or_certify(g, part, tol=tol)
+    assert rep.verdict == "completed"
+    assert completion_residual(part, rep.completion) == 0.0
+    assert psd_min_eig(rep.completion) >= -10 * tol * (1.0 + part.max_abs())
 
 
 def test_zero_diagonal_vertex_completes():
@@ -393,7 +415,7 @@ def test_pd_witness_agrees_with_psd_route():
     for _ in range(20):
         g = random_chordal(rng, int(rng.integers(2, 10)))
         part = random_psd_partial(rng, g)
-        shifted = part.with_diag(part.diag + 0.5)  # push blocks strictly PD
+        shifted = PartialSymmetricMatrix(part.n, part.diag + 0.5, part.entries)  # strictly PD
         verdict = pd_completion_exists(g, shifted)
         assert verdict.answer == "yes"
         rep = complete_or_certify(g, shifted)

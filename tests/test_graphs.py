@@ -51,7 +51,7 @@ def test_graph_validation():
 def test_triangle_is_chordal():
     flag, witness = is_chordal(complete_graph(3))
     assert flag
-    assert sorted(witness.order) == [0, 1, 2]
+    assert sorted(witness) == [0, 1, 2]
 
 
 def test_c4_not_chordal_with_cycle_witness():
@@ -64,7 +64,7 @@ def test_c4_plus_chord_is_chordal():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     flag, witness = is_chordal(g)
     assert flag
-    _check_elimination_ordering(g, witness.order)
+    _check_elimination_ordering(g, witness)
 
 
 def _check_elimination_ordering(g, order):
@@ -84,7 +84,7 @@ def test_elimination_ordering_on_random_chordal_graphs():
         g = random_chordal(rng, int(rng.integers(1, 14)))
         flag, witness = is_chordal(g)
         assert flag
-        _check_elimination_ordering(g, witness.order)
+        _check_elimination_ordering(g, witness)
 
 
 def test_search_order_matches_brute_force():

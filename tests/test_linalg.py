@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import psdcomplete
 from psdcomplete import (
     Graph,
     GramMismatch,
@@ -197,3 +201,18 @@ def test_feasibility_witness_contract_random():
         for (i, j), v in part.entries.items():
             assert abs(w[i, j] - v) <= 1e-8 * scale
         assert psd_min_eig(w) >= -1e-8 * scale
+
+
+def test_default_tol_is_the_only_tolerance_in_src():
+    # Every threshold is a multiple of a caller's tol or of DEFAULT_TOL, so
+    # no other float below 1e-6 may appear in the package. The 1e-300 in
+    # extreme_ray_from_points guards a division by a zero singular value and
+    # is not a tolerance.
+    small = []
+    for path in sorted(Path(psdcomplete.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) \
+                    and 0.0 < node.value < 1e-6:
+                small.append((path.name, node.value))
+    assert small == [("linalg.py", 1e-9), ("rays.py", 1e-300)]
+    assert psdcomplete.linalg.DEFAULT_TOL == 1e-9

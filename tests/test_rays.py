@@ -21,7 +21,7 @@ from psdcomplete import (
     verify_certificate,
 )
 
-from psdcomplete.linalg import SUPPORT_TOL
+from psdcomplete.linalg import DEFAULT_TOL
 from psdcomplete.rays import _support_violation
 
 from helpers import complete_graph, hard_cycle_instance, random_graph
@@ -257,16 +257,20 @@ def test_pair_support_tolerance_is_exact():
     g = cycle_graph(4)
     part = PartialSymmetricMatrix(4, np.ones(4), {e: 0.0 for e in g.edges})
     cert = cycle_extreme_ray(4)
-    for mass, ok in ((SUPPORT_TOL, True), (2.0 * SUPPORT_TOL, False)):
+
+    def leaky(mass):
         tau = cert.tau.copy()
         tau[0, 2] = tau[2, 0] = mass
-        leaky = ExtremeRayCertificate(tau, cert.points, cert.relation, cert.weights,
-                                      cert.kernel_form, cert.rank)
-        if ok:
-            assert pair(leaky, g, part) == pair(cert, g, part)
-        else:
-            with pytest.raises(CertificateNotSupported):
-                pair(leaky, g, part)
+        return ExtremeRayCertificate(tau, cert.points, cert.relation, cert.weights,
+                                     cert.kernel_form, cert.rank)
+
+    support = DEFAULT_TOL / 10
+    assert pair(leaky(support), g, part) == pair(cert, g, part)
+    with pytest.raises(CertificateNotSupported):
+        pair(leaky(2.0 * support), g, part)
+    # verify_certificate applies the same rule to its own tol.
+    assert verify_certificate(leaky(1e-7), g, tol=1e-6)
+    assert not verify_certificate(leaky(2e-7), g, tol=1e-6)
 
 
 def test_embed_certificate_preserves_validity():

@@ -52,7 +52,6 @@ from .graphs import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    GramFactor,
     affine_psd_feasibility,
     align_gram,
     check_symmetric,

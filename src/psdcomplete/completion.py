@@ -16,7 +16,10 @@ points reach a completion through one step that asks for every eigenvalue
 to be at least a floor: Gram propagation of the shifted data on chordal
 patterns, the search elsewhere. A PSD completion asks for floor 0; a
 positive definite witness starts at half the smallest clique-block
-eigenvalue and halves the floor until one is found.
+eigenvalue and halves the floor until one is found. The block scan is the
+only place that decomposes a clique block: on chordal patterns one stacked
+eigh per clique size, whose eigenpairs give the verdict and, shifted by the
+floor, the Gram vectors; elsewhere a stacked eigvalsh.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .errors import NotChordal, NotPartiallyPositive, PatternMismatch
 from .graphs import Graph, edge_key, rooted_clique_order
 from .linalg import (
     DEFAULT_TOL,
+    _gram_vectors,
     affine_psd_feasibility,
     align_gram,
     check_symmetric,
-    gram_factor,
     numeric_rank,
     psd_min_eig,
 )
@@ -99,9 +102,9 @@ class PartialSymmetricMatrix:
                 f"entries do not match pattern edges (extra={extra[:4]}, missing={missing[:4]})"
             )
 
-    def scatter(self, fill: float = 0.0) -> np.ndarray:
-        """Dense symmetric matrix with unspecified slots set to fill."""
-        a = np.full((self.n, self.n), float(fill))
+    def scatter(self) -> np.ndarray:
+        """Dense symmetric matrix with unspecified slots set to zero."""
+        a = np.zeros((self.n, self.n))
         np.fill_diagonal(a, self.diag)
         for (i, j), v in self.entries.items():
             a[i, j] = a[j, i] = v
@@ -154,105 +157,110 @@ def completion_residual(partial: PartialSymmetricMatrix, a) -> float:
     return dev
 
 
-def _clique_block_scan(a: np.ndarray, cliques: list, strict: bool, tol: float):
+def _clique_block_scan(a: np.ndarray, g: Graph, strict: bool, tol: float):
     """Smallest-eigenvalue scan over the maximal clique blocks of scattered data a.
 
-    Blocks of one size go through one stacked eigvalsh. Returns (ok, clique,
-    min_eig) where clique/min_eig describe the first violating block in
-    clique order (or the first globally smallest eigenvalue when ok).
+    Blocks of one size go through one stacked eigh, or eigvalsh when g is not
+    chordal. Returns (ok, clique, min_eig, eig) where clique/min_eig describe
+    the first violating block in clique order (or the first globally
+    smallest eigenvalue when ok); eig[t] is the ascending (w, v) of the
+    block of g.cliques[t] for _propagate, None when g is not chordal.
     """
+    cliques = g.cliques
     lam = np.empty(len(cliques))
     scale = np.empty(len(cliques))
+    eig = [None] * len(cliques)
     by_size = {}
     for t, K in enumerate(cliques):
         by_size.setdefault(len(K), []).append(t)
     for idx in by_size.values():
         rows = np.array([cliques[t] for t in idx])
         blocks = a[rows[:, :, None], rows[:, None, :]]
-        lam[idx] = np.linalg.eigvalsh(blocks)[:, 0]
         scale[idx] = 1.0 + np.max(np.abs(blocks), axis=(1, 2))
+        if g.peo is None:
+            lam[idx] = np.linalg.eigvalsh(blocks)[:, 0]
+            continue
+        w, v = np.linalg.eigh(blocks)
+        lam[idx] = w[:, 0]
+        for t, wt, vt in zip(idx, w, v):
+            eig[t] = wt, vt
     bad = lam <= tol * scale if strict else lam < -tol * scale
     t = int(np.argmax(bad)) if bad.any() else int(np.argmin(lam))
-    return not bad[t], cliques[t], float(lam[t])
+    return not bad[t], cliques[t], float(lam[t]), eig
 
 
 def _scatter(g: Graph, partial: PartialSymmetricMatrix) -> np.ndarray:
     """Validate the data against g and return it scattered into a dense matrix."""
     partial.validate_against(g)
-    return check_symmetric(partial.scatter(0.0))
+    return check_symmetric(partial.scatter())
 
 
 def partially_positive(g: Graph, partial: PartialSymmetricMatrix,
                        strict: bool = False, tol: float = DEFAULT_TOL) -> bool:
     """True iff every fully specified clique block is PSD (strict: PD)."""
-    ok, _, _ = _clique_block_scan(_scatter(g, partial), g.cliques, strict, tol)
-    return ok
+    return _clique_block_scan(_scatter(g, partial), g, strict, tol)[0]
 
 
 def chordal_complete(g: Graph, partial: PartialSymmetricMatrix,
                      tol: float = DEFAULT_TOL):
     """PSD completion of a partially positive matrix on a chordal pattern.
 
-    Walks the clique tree from the largest clique outward, keeping one Gram
-    vector per completed vertex. Each new clique block is factored and its
-    separator vectors rotated onto the committed ones (the Gram matrices
-    agree, so the alignment is exact); unspecified entries become inner
-    products. The result is PSD with rank at most the clique number.
-
-    Returns (completion, rank).
+    Returns complete_or_certify's (completion, rank), which Gram propagation
+    builds with rank at most the clique number. Raises NotChordal on a
+    non-chordal pattern and NotPartiallyPositive on a non-PSD clique block.
     """
-    a = _scatter(g, partial)
+    partial.validate_against(g)
     if g.peo is None:
         raise NotChordal("pattern must be chordal for direct completion")
-    ok, clique, lam = _clique_block_scan(a, g.cliques, strict=False, tol=tol)
-    if not ok:
+    rep = complete_or_certify(g, partial, tol)
+    if rep.verdict == "infeasible":
+        clique, lam = rep.violating_clique, rep.separating_value
         raise NotPartiallyPositive(
             f"clique block {clique} has eigenvalue {lam:.3e}", clique=clique, min_eig=lam
         )
-    c = _propagate(g, a, tol)
-    return c, numeric_rank(c, tol)
+    return rep.completion, rep.rank
 
 
-def _propagate(g: Graph, a: np.ndarray, tol: float) -> np.ndarray:
-    """Gram propagation of chordal_complete on scattered data a that is
-    partially positive on the maximal cliques of the chordal pattern g.
+def _propagate(g: Graph, eig: list, shift: float, tol: float) -> np.ndarray:
+    """Completion with every eigenvalue >= shift on the chordal pattern g,
+    by Gram propagation from the clique blocks' eigenpairs eig.
 
-    The Gram vectors live in the first r columns of one n x omega array,
-    where r is the largest block rank so far; placed marks the vertices
-    that have one."""
+    Walks the clique tree from the largest clique outward. A block of A -
+    shift*I has the eigenvalues w - shift and the same eigenvectors, so no
+    block is decomposed again. Separator vectors are rotated onto the
+    committed ones (the Gram matrices agree, so the alignment is exact).
+    The vectors live in the first r columns of one n x omega array, r the
+    largest block rank so far; placed marks the vertices that have one.
+    shift*I is added back, except at 0, where it would turn -0.0 into 0.0.
+    """
     tree = g.clique_tree
     basis = np.zeros((g.n, max(len(K) for K in tree.cliques)))
     placed = np.zeros(g.n, dtype=bool)
     r = 0
     for idx in rooted_clique_order(tree):
         K = np.array(tree.cliques[idx])
-        fac = gram_factor(a[np.ix_(K, K)], tol)
-        r = max(r, fac.rank)
-        q = fac.padded(r)
+        w, v = eig[idx]
+        q = _gram_vectors(w - shift, v, tol)
+        r = max(r, q.shape[1])
+        q = np.pad(q, ((0, 0), (0, r - q.shape[1])))
         sep = placed[K]
         rot = align_gram(basis[K[sep], :r], q[sep], tol)
         basis[K[~sep], :r] = q[~sep] @ rot.T
         placed[K] = True
     c = basis[:, :r] @ basis[:, :r].T
-    return 0.5 * (c + c.T)
+    c = 0.5 * (c + c.T)
+    return c + shift * np.eye(g.n) if shift else c
 
 
-def _complete(g: Graph, partial: PartialSymmetricMatrix, a: np.ndarray, shift: float,
+def _complete(g: Graph, partial: PartialSymmetricMatrix, eig: list, shift: float,
               tol: float, max_iter: int):
-    """A completion of the data with every eigenvalue >= shift, or None.
-
-    Chordal patterns propagate Gram vectors of a - shift*I and add shift*I
-    back; the others run the feasibility search at that floor. A zero shift
-    leaves the propagated matrix untouched (adding 0.0 would turn -0.0 into
-    0.0).
+    """A completion with every eigenvalue >= shift, or None: Gram propagation
+    from the scan's eig on chordal patterns, the search at that floor elsewhere.
     """
     if g.peo is None:
         return affine_psd_feasibility(g, partial, shift=shift, max_iter=max_iter,
                                       tol=tol)
-    if not shift:
-        return _propagate(g, a, tol)
-    floor = shift * np.eye(g.n)
-    return _propagate(g, a - floor, tol) + floor
+    return _propagate(g, eig, shift, tol)
 
 
 def _best_cycle_layout(a: np.ndarray, cycles: list):
@@ -311,7 +319,7 @@ def complete_or_certify(g: Graph, partial: PartialSymmetricMatrix,
     gave up after max_iter steps or a stalled polish.
     """
     a = _scatter(g, partial)
-    ok, clique, lam = _clique_block_scan(a, g.cliques, strict=False, tol=tol)
+    ok, clique, lam, eig = _clique_block_scan(a, g, strict=False, tol=tol)
     if not ok:
         return CompletionReport(
             verdict="infeasible",
@@ -323,7 +331,7 @@ def complete_or_certify(g: Graph, partial: PartialSymmetricMatrix,
         if cert is not None:
             return CompletionReport(verdict="infeasible", certificate=cert,
                                     separating_value=val)
-    c = _complete(g, partial, a, 0.0, tol, max_iter)
+    c = _complete(g, partial, eig, 0.0, tol, max_iter)
     if c is None:
         return CompletionReport(verdict="undetermined")
     return CompletionReport(verdict="completed", completion=c, rank=numeric_rank(c, tol))
@@ -347,7 +355,7 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     caps the Newton steps of each non-chordal search.
     """
     a = _scatter(g, partial)
-    ok, _, lam = _clique_block_scan(a, g.cliques, strict=True, tol=tol)
+    ok, _, lam, eig = _clique_block_scan(a, g, strict=True, tol=tol)
     if not ok:
         return PDExistenceVerdict(answer="no", failed_condition="clique_block")
     if g.peo is None and _cycle_certificate(g, partial, a, tol)[0] is not None:
@@ -356,7 +364,7 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     stop = 2.0 * (10 * tol) * (1.0 + partial.max_abs())
     s = 0.5 * lam
     while True:
-        witness = _complete(g, partial, a, s, tol, max_iter)
+        witness = _complete(g, partial, eig, s, tol, max_iter)
         if witness is not None and psd_min_eig(witness, tol) > 0.0:
             return PDExistenceVerdict(answer="yes", witness=witness)
         s *= 0.5

@@ -1,4 +1,7 @@
-"""Symmetric-matrix primitives: eigendecomposition, Gram factors, alignment, feasibility.
+"""Symmetric-matrix primitives: eigenvalues, Gram vectors, alignment, feasibility.
+
+``_gram_vectors`` is the one rule that turns eigenpairs into Gram vectors,
+for ``gram_factor`` and for the chordal completion's clique blocks alike.
 
 Tolerances are relative: a check at tolerance ``tol`` on a matrix ``A`` uses
 the scale ``1 + |A|`` (spectral or max-entry norm as appropriate), so all
@@ -14,15 +17,12 @@ lists every threshold with its multiple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GramMismatch, NotPSD, NotSymmetric
 
 __all__ = [
     "DEFAULT_TOL",
-    "GramFactor",
     "check_symmetric",
     "psd_min_eig",
     "numeric_rank",
@@ -60,45 +60,37 @@ def psd_min_eig(a, tol: float = DEFAULT_TOL) -> float:
 
 def numeric_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues with ``|w| > tol * max(1, |w|_max)``."""
-    a = check_symmetric(a)
+    a = check_symmetric(a, tol)
     w = np.linalg.eigvalsh(a)
     lam = float(np.max(np.abs(w))) if w.size else 0.0
     return int(np.sum(np.abs(w) > tol * max(1.0, lam)))
 
 
-@dataclass(frozen=True)
-class GramFactor:
-    """Vectors (one per row) whose pairwise inner products reproduce a PSD matrix."""
-
-    vectors: np.ndarray
-    rank: int
-
-    def padded(self, r: int) -> np.ndarray:
-        """Vectors zero-padded on the right to dimension r."""
-        n, r0 = self.vectors.shape
-        if r < r0:
-            raise ValueError(f"cannot pad dimension {r0} down to {r}")
-        out = np.zeros((n, r))
-        out[:, :r0] = self.vectors
-        return out
-
-
-def gram_factor(a, tol: float = DEFAULT_TOL) -> GramFactor:
+def gram_factor(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Factor a PSD matrix A as the Gram matrix of n vectors in rank(A) dimensions.
 
-    Eigenvalues below ``-tol * (1 + |A|_2)`` raise NotPSD; the factor keeps
-    the ``numeric_rank`` leading eigenpairs, so ``F F^T`` reproduces A within
-    the eigendecomposition's accuracy.
+    Eigenvalues below ``-tol * (1 + |A|_2)`` raise NotPSD. Returns the n x
+    ``numeric_rank(A)`` array F whose rows are the vectors _gram_vectors
+    keeps, so ``F F^T`` reproduces A within the eigendecomposition's
+    accuracy.
     """
-    a = check_symmetric(a)
+    a = check_symmetric(a, tol)
     w, v = np.linalg.eigh(a)
     lam = float(np.max(np.abs(w))) if w.size else 0.0
     if w.size and w[0] < -tol * (1.0 + lam):
         raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol:.1e} * (1 + {lam:.3e})")
-    thr = tol * max(1.0, lam)
-    idx = np.where(w > thr)[0][::-1]
-    vectors = v[:, idx] * np.sqrt(w[idx])
-    return GramFactor(vectors=vectors, rank=len(idx))
+    return _gram_vectors(w, v, tol)
+
+
+def _gram_vectors(w, v, tol: float) -> np.ndarray:
+    """Gram vectors, one per row, from an ascending eigendecomposition (w, v).
+
+    Keeps the eigenpairs with ``w > tol * max(1, |w|_max)``, largest first,
+    each eigenvector scaled by the square root of its eigenvalue.
+    """
+    lam = float(np.max(np.abs(w))) if w.size else 0.0
+    idx = np.where(w > tol * max(1.0, lam))[0][::-1]
+    return v[:, idx] * np.sqrt(w[idx])
 
 
 def align_gram(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -156,7 +148,7 @@ def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000
     n = g.n
     eps = 10 * tol
     scale = 1.0 + partial.max_abs()
-    a = partial.scatter(0.0)
+    a = partial.scatter()
     if np.linalg.eigvalsh(a)[0] >= shift - eps * scale:
         return a
     # One slot per diagonal entry and per edge (i < j). An edge slot stands
@@ -236,7 +228,7 @@ def _polish(x, i, j, w, target, stop, tol):
     or None when a step fails to halve the residual.
     """
     n = x.shape[0]
-    b = gram_factor(x, tol).vectors
+    b = gram_factor(x, tol)
     ii, ij = i[:, None] == i, i[:, None] == j
     jj, ji = j[:, None] == j, j[:, None] == i
     prev = np.inf

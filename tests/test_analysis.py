@@ -21,7 +21,7 @@ from psdcomplete import (
     pd_completion_exists,
     shortest_induced_cycle,
 )
-from psdcomplete import completion, graphs
+from psdcomplete import completion, graphs, linalg
 from psdcomplete.cli import main
 
 from helpers import hard_cycle_instance, petersen, random_chordal, random_psd_partial
@@ -80,6 +80,37 @@ def test_chordal_graph_is_analysed_once(calls):
     clique_tree(g)
     # The elimination ordering already proves that no chordless cycle exists.
     assert calls == {"_mcs_order": 1}
+
+
+def test_chordal_blocks_are_decomposed_once(monkeypatch):
+    """The block scan's stacked eigh is the only decomposition of the clique
+    blocks, and only the scattered data and the result are symmetry-checked."""
+    counts = Counter()
+
+    def count(mod, name):
+        fn = getattr(mod, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    for name in ("gram_factor", "check_symmetric"):
+        for mod in (linalg, completion):
+            if name in vars(mod):
+                count(mod, name)
+    count(np.linalg, "eigh")
+
+    rng = np.random.default_rng(5)
+    g = random_chordal(rng, 12)
+    part = random_psd_partial(rng, g)
+    sizes = len({len(K) for K in maximal_cliques(g)})
+    assert sizes > 1
+    for run in (complete_or_certify, pd_completion_exists):
+        counts.clear()
+        run(g, part)
+        assert counts["gram_factor"] == 0
+        assert counts["eigh"] <= sizes
+        assert counts["check_symmetric"] <= 2
 
 
 def test_analyze_graph_analyses_once(calls, capsys, tmp_path):

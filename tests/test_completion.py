@@ -478,18 +478,20 @@ def test_closed_form_cycle_pairing_matches_brute_force():
         )
         for part in (hard_cycle_instance(g), random):
             want_val, want_lay = brute_best_layout(g, part, cycles)
-            val, lay = _best_cycle_layout(part.scatter(0.0), cycles)
+            val, lay = _best_cycle_layout(part.scatter(), cycles)
             assert abs(val - want_val) <= 1e-12 * (1.0 + part.max_abs())
             assert lay == want_lay
 
 
 def loop_block_scan(g, part, strict, tol=1e-9):
-    """Reference: one eigvalsh per maximal clique block, in clique order."""
-    a = part.scatter(0.0)
+    """Reference: one eigh (eigvalsh when g is not chordal) per maximal clique
+    block, in clique order."""
+    a = part.scatter()
     worst_clique, worst = None, math.inf
     for K in maximal_cliques(g):
         b = a[np.ix_(K, K)]
-        lam = float(np.linalg.eigvalsh(b)[0])
+        w = np.linalg.eigh(b)[0] if is_chordal(g)[0] else np.linalg.eigvalsh(b)
+        lam = float(w[0])
         scale = 1.0 + float(np.max(np.abs(b)))
         if (lam <= tol * scale) if strict else (lam < -tol * scale):
             return False, K, lam
@@ -517,11 +519,18 @@ def test_batched_block_scan_matches_per_block_loop(strict):
         k = random_chordal(rng, int(rng.integers(3, 12)))
         cases.append((k, random_psd_partial(rng, k)))
     for h, part in cases:
-        a = part.scatter(0.0)
-        assert _clique_block_scan(a, maximal_cliques(h), strict, 1e-9) == \
-            loop_block_scan(h, part, strict)
+        a = part.scatter()
+        ok, clique, lam, eig = _clique_block_scan(a, h, strict, 1e-9)
+        assert (ok, clique, lam) == loop_block_scan(h, part, strict)
+        if not is_chordal(h)[0]:
+            assert eig == [None] * len(maximal_cliques(h))
+            continue
+        # Each block's eigenpairs rebuild it.
+        for K, (w, v) in zip(maximal_cliques(h), eig):
+            b = a[np.ix_(K, K)]
+            assert np.max(np.abs(v * w @ v.T - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
     # Two violating cliques: the first in sorted order is reported, not the worst.
-    assert _clique_block_scan(cases[0][1].scatter(0.0), maximal_cliques(g), strict,
-                              1e-9)[:2] == (False, (0, 1))
-    assert _clique_block_scan(cases[1][1].scatter(0.0), maximal_cliques(g), strict,
-                              1e-9)[:2] == (False, (1, 2, 3))
+    assert _clique_block_scan(cases[0][1].scatter(), g, strict, 1e-9)[:2] == \
+        (False, (0, 1))
+    assert _clique_block_scan(cases[1][1].scatter(), g, strict, 1e-9)[:2] == \
+        (False, (1, 2, 3))

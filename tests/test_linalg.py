@@ -43,6 +43,19 @@ def test_symmetry_tolerance_is_relative():
         check_symmetric(b)
 
 
+def test_symmetry_check_follows_the_callers_tol():
+    # At tol=1e-6 the symmetry threshold is 1e-9 * (1 + max|A|).
+    for gap, ok in ((1e-10, True), (1e-8, False)):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        a[0, 1] += gap * (1.0 + 2.0)
+        for fn in (numeric_rank, gram_factor):
+            if ok:
+                fn(a, tol=1e-6)
+            else:
+                with pytest.raises(NotSymmetric):
+                    fn(a, tol=1e-6)
+
+
 def test_psd_min_eig_golden_ratio():
     # Characteristic polynomial of [[1,-1],[-1,0]] is x^2 - x - 1.
     expected = (1.0 - np.sqrt(5.0)) / 2.0
@@ -69,17 +82,17 @@ def test_numeric_rank_rotation_invariant():
 
 def test_gram_factor_examples():
     f = gram_factor(np.eye(3))
-    assert f.rank == 3
-    assert np.allclose(f.vectors @ f.vectors.T, np.eye(3))
+    assert f.shape[1] == 3
+    assert np.allclose(f @ f.T, np.eye(3))
 
     f = gram_factor(np.ones((3, 3)))
-    assert f.rank == 1
-    assert np.allclose(f.vectors @ f.vectors.T, np.ones((3, 3)))
+    assert f.shape[1] == 1
+    assert np.allclose(f @ f.T, np.ones((3, 3)))
 
     a = np.array([[2.0, 1.0], [1.0, 1.0]])
     f = gram_factor(a)
-    assert f.rank == 2
-    assert np.max(np.abs(f.vectors @ f.vectors.T - a)) <= 1e-8 * (1 + 2.0)
+    assert f.shape[1] == 2
+    assert np.max(np.abs(f @ f.T - a)) <= 1e-8 * (1 + 2.0)
 
 
 def test_gram_factor_rejects_indefinite():
@@ -95,19 +108,9 @@ def test_gram_factor_round_trip_random():
         b = rng.standard_normal((r, n))
         a = b.T @ b
         f = gram_factor(a)
-        assert f.rank == numeric_rank(a)
+        assert f.shape == (n, numeric_rank(a))
         scale = 1.0 + (np.max(np.abs(a)) if a.size else 0.0)
-        assert np.max(np.abs(f.vectors @ f.vectors.T - a)) <= 1e-8 * scale
-        assert f.vectors.shape == (n, f.rank)
-
-
-def test_gram_factor_padded():
-    f = gram_factor(np.ones((2, 2)))
-    p = f.padded(3)
-    assert p.shape == (2, 3)
-    assert np.allclose(p @ p.T, np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        f.padded(0)
+        assert np.max(np.abs(f @ f.T - a)) <= 1e-8 * scale
 
 
 def test_align_gram_recovers_rotation():

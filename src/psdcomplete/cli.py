@@ -3,6 +3,8 @@
 Subcommands: analyze-graph, complete, pd-exists, extreme-ray, toric,
 moment-check. Inputs and outputs are JSON; output is canonical (sorted keys,
 two-space indent), so repeated runs on the same inputs are byte-identical.
+A report's keys are the library result's fields plus "tolerance"; NumPy
+values are converted only in serialize.canonical_dumps.
 
 Exit status: 0 on success, 1 when the verdict is negative (infeasible / no /
 not_psd), 2 on malformed input or an unwritable --out file, 3 when a
@@ -84,15 +86,13 @@ def _run_analyze_graph(args, tol: float):
     g = _load_graph(args.graph)
     chordal, _ = graphs.is_chordal(g)
     cyc = graphs.shortest_induced_cycle(g)
-    report = {
+    return {
         "chordal": chordal,
         "clique_number": graphs.clique_number(g),
         "shortest_induced_cycle": list(cyc.vertices) if cyc is not None else None,
         "gl_index": serialize.render_index(graphs.green_lazarsfeld_index(g)),
         "hankel_index": serialize.render_index(graphs.hankel_index(g)),
-        "tolerance": tol,
-    }
-    return report, False
+    }, False
 
 
 def _run_complete(args, tol: float):
@@ -106,53 +106,29 @@ def _run_complete(args, tol: float):
         if completion.completion_residual(part, rep.completion) > slack or \
                 psd_min_eig(rep.completion, tol) < -slack:
             raise _InternalError("completion failed re-validation against the input")
-    report = {
-        "verdict": rep.verdict,
-        "completion": serialize.dump_matrix(rep.completion)["rows"]
-        if rep.completion is not None else None,
-        "rank": rep.rank,
-        "certificate": serialize.dump_certificate(rep.certificate)
-        if rep.certificate is not None else None,
-        "separating_value": rep.separating_value,
-        "violating_clique": list(rep.violating_clique)
-        if rep.violating_clique is not None else None,
-        "tolerance": tol,
-    }
-    return report, rep.verdict == "infeasible"
+    return vars(rep), rep.verdict == "infeasible"
 
 
 def _run_pd_exists(args, tol: float):
     g = _load_graph(args.graph)
     part = _load_partial(args.partial)
     verdict = completion.pd_completion_exists(g, part, tol=tol)
-    report = {
-        "answer": verdict.answer,
-        "witness": serialize.dump_matrix(verdict.witness)["rows"]
-        if verdict.witness is not None else None,
-        "failed_condition": verdict.failed_condition,
-        "tolerance": tol,
-    }
-    return report, verdict.answer == "no"
+    return vars(verdict), verdict.answer == "no"
 
 
 def _run_extreme_ray(args, tol: float):
-    cert = rays.cycle_extreme_ray(args.cycle)
-    report = serialize.dump_certificate(cert)
-    report["tolerance"] = tol
-    return report, False
+    return serialize.dump_certificate(rays.cycle_extreme_ray(args.cycle)), False
 
 
 def _run_toric(args, tol: float):
     poly = serialize.load_polygon(serialize.load_json_file(args.polygon),
                                   location=args.polygon)
     b = moments.boundary_lattice_points(poly)
-    report = {
+    return {
         "boundary_lattice_points": b,
         "gl_index": b - 3 if b >= 4 else None,
         "hankel_lower_bound": b - 2 if b >= 4 else None,
-        "tolerance": tol,
-    }
-    return report, False
+    }, False
 
 
 def _run_moment_check(args, tol: float):
@@ -162,13 +138,11 @@ def _run_moment_check(args, tol: float):
                                   location=args.polygon)
     bound = moments.toric_hankel_lower_bound(poly)
     verdict = moments.moment_representable(op, bound, tol=tol)
-    report = {
+    return {
         "verdict": verdict,
-        "rank": int(numeric_rank(op.matrix, tol)),
+        "rank": numeric_rank(op.matrix, tol),
         "hankel_lower_bound": bound,
-        "tolerance": tol,
-    }
-    return report, verdict == "not_psd"
+    }, verdict == "not_psd"
 
 
 _RUNNERS = {
@@ -203,7 +177,7 @@ def main(argv=None) -> int:
     except _InternalError as exc:
         return _fail(3, "internal", str(exc), args.command)
 
-    text = serialize.canonical_dumps(report)
+    text = serialize.canonical_dumps({**report, "tolerance": tol})
     if args.out:
         try:
             with open(args.out, "w") as fh:

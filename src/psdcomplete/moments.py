@@ -46,22 +46,19 @@ class LatticePolygon:
         if len(set(vs)) != len(vs):
             raise DegeneratePolygon("vertices must be distinct")
         k = len(vs)
-        turning = 0.0
+        edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1])]
         for i in range(k):
-            ax, ay = vs[i]
-            bx, by = vs[(i + 1) % k]
-            cx, cy = vs[(i + 2) % k]
-            e1 = (bx - ax, by - ay)
-            e2 = (cx - bx, cy - by)
-            cross = e1[0] * e2[1] - e1[1] * e2[0]
-            if cross <= 0:
+            (x1, y1), (x2, y2) = edges[i], edges[(i + 1) % k]
+            if x1 * y2 - y1 * x2 <= 0:
                 raise DegeneratePolygon(
                     f"vertices must turn strictly left at index {(i + 1) % k}"
                 )
-            turning += math.atan2(cross, e1[0] * e2[0] + e1[1] * e2[1])
-        # All-left turns admit star polygons winding several times around;
-        # a simple convex polygon turns by exactly 2*pi.
-        if abs(turning - 2.0 * math.pi) > 1e-6:
+        # All-left turns admit star polygons winding several times around. Each
+        # turn is below pi, so the edge direction crosses the positive x-axis
+        # once per winding, exactly where an edge in the lower half-plane is
+        # followed by one in the upper half-plane; a convex polygon crosses once.
+        lower = [y < 0 or (y == 0 and x < 0) for x, y in edges]
+        if sum(lower[i - 1] and not lower[i] for i in range(k)) != 1:
             raise DegeneratePolygon("vertex sequence winds more than once")
         object.__setattr__(self, "vertices", vs)
 

@@ -94,7 +94,7 @@ def cycle_extreme_ray(m: int) -> ExtremeRayCertificate:
     )
 
 
-def extreme_ray_from_points(points, head_weights=None, seed: int = 0) -> ExtremeRayCertificate:
+def extreme_ray_from_points(points, head_weights=None) -> ExtremeRayCertificate:
     """Build the extreme ray determined by k+2 points with one linear dependence.
 
     Parameters
@@ -105,9 +105,8 @@ def extreme_ray_from_points(points, head_weights=None, seed: int = 0) -> Extreme
     head_weights : optional array of k+1 positive reals
         Coefficients on the first k+1 squares; the last weight is the unique
         negative value keeping the form PSD on the dependence ellipsoid.
-    seed : int
-        Seed for re-drawing head weights in the rare degenerate case where
-        the kernel form vanishes at one of the points.
+        Where the kernel form vanishes at a point, the head weights are
+        redrawn from ``np.random.default_rng(0)``.
 
     Returns
     -------
@@ -144,7 +143,7 @@ def extreme_ray_from_points(points, head_weights=None, seed: int = 0) -> Extreme
     else:
         d = np.ones(s - 1)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     head = pts[:-1]
     for _ in range(64):
         quad = float(np.sum(c * c / d))

@@ -2,9 +2,10 @@
 
 Loaders check the JSON shape and leave value constraints to the
 constructors they call; every failure is an InputError with a location
-breadcrumb. Dumpers emit plain dicts ready for canonical_dumps,
-which renders deterministic, byte-stable JSON (sorted keys, two-space
-indent, shortest round-trip floats).
+breadcrumb. Dumpers emit plain dicts. canonical_dumps renders
+deterministic, byte-stable JSON (sorted keys, two-space indent, shortest
+round-trip floats) and is the only place NumPy arrays and scalars, and
+certificates nested in a report, become JSON values.
 """
 
 from __future__ import annotations
@@ -49,22 +50,20 @@ def load_json_file(path: str):
 
 
 def _plain(obj):
-    """Recursively convert numpy containers/scalars to plain Python values."""
+    """json's ``default`` hook: the one place NumPy values and certificates become JSON."""
     if isinstance(obj, np.ndarray):
-        return [_plain(row) for row in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
+    if isinstance(obj, ExtremeRayCertificate):
+        return dump_certificate(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
 
 
 def render_index(value):
@@ -157,7 +156,7 @@ def load_matrix(obj, location="matrix") -> np.ndarray:
 
 def dump_matrix(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=float)
-    return {"n": int(a.shape[0]), "rows": _plain(a)}
+    return {"n": int(a.shape[0]), "rows": a.tolist()}
 
 
 def load_partial(obj, location="partial") -> PartialSymmetricMatrix:
@@ -186,7 +185,7 @@ def load_partial(obj, location="partial") -> PartialSymmetricMatrix:
 def dump_partial(n: int, diag, entries) -> dict:
     return {
         "n": int(n),
-        "diag": _plain(np.asarray(diag)),
+        "diag": np.asarray(diag).tolist(),
         "entries": [[int(i), int(j), float(v)] for (i, j), v in sorted(entries.items())],
     }
 
@@ -219,11 +218,11 @@ def load_certificate(obj, location="certificate") -> ExtremeRayCertificate:
 def dump_certificate(cert: ExtremeRayCertificate) -> dict:
     return {
         "n": int(cert.n),
-        "tau": _plain(cert.tau),
-        "points": _plain(cert.points),
-        "relation": _plain(cert.relation),
-        "weights": _plain(cert.weights),
-        "kernel_form": _plain(cert.kernel_form),
+        "tau": cert.tau.tolist(),
+        "points": cert.points.tolist(),
+        "relation": cert.relation.tolist(),
+        "weights": cert.weights.tolist(),
+        "kernel_form": cert.kernel_form.tolist(),
         "rank": int(cert.rank),
     }
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psdcomplete
 from psdcomplete import (
     canonical_dumps,
     cycle_extreme_ray,
@@ -291,3 +296,249 @@ def test_certificate_json_round_trip(capsys, tmp_path):
     stripped = {k: v for k, v in report.items() if k != "tolerance"}
     again = json.loads(canonical_dumps(dump_certificate(load_certificate(stripped))))
     assert again == stripped
+
+
+COMPLETE_KEYS = {"verdict", "completion", "rank", "certificate", "separating_value",
+                 "violating_clique"}
+
+
+def test_report_keys_are_the_result_fields(capsys, tmp_path, c4_files):
+    # Pinned here, so that a new result field is a deliberate schema change.
+    graph, hard, easy = c4_files
+    clash = write_json(tmp_path / "clash.json",
+                       {"n": 4, "diag": [1, 1, 1, 1],
+                        "entries": [[0, 1, 2.0], [1, 2, 0], [2, 3, 0], [0, 3, 0]]})
+    mom, poly = moment_files(tmp_path, np.eye(6))
+    cases = [  # argv, keys besides "tolerance", a key whose value is not null
+        (["analyze-graph", "--graph", graph],
+         {"chordal", "clique_number", "shortest_induced_cycle", "gl_index", "hankel_index"},
+         "shortest_induced_cycle"),
+        (["complete", "--graph", graph, "--partial", easy], COMPLETE_KEYS, "completion"),
+        (["complete", "--graph", graph, "--partial", hard], COMPLETE_KEYS, "certificate"),
+        (["complete", "--graph", graph, "--partial", clash], COMPLETE_KEYS,
+         "violating_clique"),
+        (["pd-exists", "--graph", graph, "--partial", easy],
+         {"answer", "witness", "failed_condition"}, "witness"),
+        (["pd-exists", "--graph", graph, "--partial", hard],
+         {"answer", "witness", "failed_condition"}, "failed_condition"),
+        (["extreme-ray", "--cycle", "5"],
+         {"n", "tau", "points", "relation", "weights", "kernel_form", "rank"}, "tau"),
+        (["toric", "--polygon", poly],
+         {"boundary_lattice_points", "gl_index", "hankel_lower_bound"}, "gl_index"),
+        (["moment-check", "--moment", mom, "--polygon", poly],
+         {"verdict", "rank", "hankel_lower_bound"}, "rank"),
+    ]
+    for argv, keys, present in cases:
+        _, report, _ = run(capsys, argv)
+        assert set(report) == keys | {"tolerance"}, argv
+        assert report[present] is not None, argv
+
+
+def test_module_entry_point_matches_main(capsys, c4_files):
+    # The real process entry: `python -m psdcomplete.cli` ends in sys.exit(main()).
+    graph, hard, _ = c4_files
+    argv = ["complete", "--graph", graph, "--partial", hard]
+    src = Path(psdcomplete.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "psdcomplete.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    code = main(argv)
+    assert proc.returncode == code == 1
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_closed_form_reports_are_byte_stable(capsys, c4_files):
+    graph, hard, _ = c4_files
+    assert main(["complete", "--graph", graph, "--partial", hard]) == 1
+    assert capsys.readouterr().out == HARD_C4_COMPLETE
+    assert main(["extreme-ray", "--cycle", "5"]) == 0
+    assert capsys.readouterr().out == CYCLE_5_RAY
+
+
+HARD_C4_COMPLETE = """\
+{
+  "certificate": {
+    "kernel_form": [
+      -0.8660254037844387,
+      -0.2886751345948129,
+      0.2886751345948129,
+      0.8660254037844387
+    ],
+    "n": 4,
+    "points": [
+      [
+        1.0,
+        -1.0,
+        0.0,
+        0.0
+      ],
+      [
+        0.0,
+        1.0,
+        -1.0,
+        0.0
+      ],
+      [
+        0.0,
+        0.0,
+        1.0,
+        -1.0
+      ],
+      [
+        -1.0,
+        0.0,
+        0.0,
+        1.0
+      ]
+    ],
+    "rank": 2,
+    "relation": [
+      -1.0,
+      -1.0,
+      -1.0,
+      -1.0
+    ],
+    "tau": [
+      [
+        0.6666666666666666,
+        -1.0,
+        0.0,
+        0.3333333333333333
+      ],
+      [
+        -1.0,
+        2.0,
+        -1.0,
+        0.0
+      ],
+      [
+        0.0,
+        -1.0,
+        2.0,
+        -1.0
+      ],
+      [
+        0.3333333333333333,
+        0.0,
+        -1.0,
+        0.6666666666666666
+      ]
+    ],
+    "weights": [
+      1.0,
+      1.0,
+      1.0,
+      -0.3333333333333333
+    ]
+  },
+  "completion": null,
+  "rank": null,
+  "separating_value": -1.3333333333333335,
+  "tolerance": 1e-09,
+  "verdict": "infeasible",
+  "violating_clique": null
+}
+"""
+
+CYCLE_5_RAY = """\
+{
+  "kernel_form": [
+    -1.0,
+    -0.5,
+    0.0,
+    0.5,
+    1.0
+  ],
+  "n": 5,
+  "points": [
+    [
+      1.0,
+      -1.0,
+      0.0,
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      1.0,
+      -1.0,
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0,
+      1.0,
+      -1.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0,
+      0.0,
+      1.0,
+      -1.0
+    ],
+    [
+      -1.0,
+      0.0,
+      0.0,
+      0.0,
+      1.0
+    ]
+  ],
+  "rank": 3,
+  "relation": [
+    -1.0,
+    -1.0,
+    -1.0,
+    -1.0,
+    -1.0
+  ],
+  "tau": [
+    [
+      0.75,
+      -1.0,
+      0.0,
+      0.0,
+      0.25
+    ],
+    [
+      -1.0,
+      2.0,
+      -1.0,
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      -1.0,
+      2.0,
+      -1.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0,
+      -1.0,
+      2.0,
+      -1.0
+    ],
+    [
+      0.25,
+      0.0,
+      0.0,
+      -1.0,
+      0.75
+    ]
+  ],
+  "tolerance": 1e-09,
+  "weights": [
+    1.0,
+    1.0,
+    1.0,
+    1.0,
+    -0.25
+  ]
+}
+"""

@@ -208,14 +208,14 @@ def test_feasibility_witness_contract_random():
 
 def test_default_tol_is_the_only_tolerance_in_src():
     # Every threshold is a multiple of a caller's tol or of DEFAULT_TOL, so
-    # no other float below 1e-6 may appear in the package. The 1e-300 in
+    # no other float at or below 1e-6 may appear in the package. The 1e-300 in
     # extreme_ray_from_points guards a division by a zero singular value and
     # is not a tolerance.
     small = []
     for path in sorted(Path(psdcomplete.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Constant) and isinstance(node.value, float) \
-                    and 0.0 < node.value < 1e-6:
+                    and 0.0 < node.value <= 1e-6:
                 small.append((path.name, node.value))
     assert small == [("linalg.py", 1e-9), ("rays.py", 1e-300)]
     assert psdcomplete.linalg.DEFAULT_TOL == 1e-9

@@ -91,7 +91,7 @@ def test_cycle_ray_rejects_small_m():
 @pytest.mark.parametrize("m", range(4, 13))
 def test_ray_from_cycle_points_matches_closed_form(m):
     closed = cycle_extreme_ray(m)
-    built = extreme_ray_from_points(closed.points, np.ones(m - 1), seed=0)
+    built = extreme_ray_from_points(closed.points, np.ones(m - 1))
     assert np.max(np.abs(built.tau - closed.tau)) <= 1e-12
     assert np.max(np.abs(built.weights - closed.weights)) <= 1e-12
     assert np.max(np.abs(built.relation - closed.relation)) <= 1e-12
@@ -125,7 +125,7 @@ def test_ray_random_configurations_verify():
         coeff = rng.uniform(0.5, 2.0, k + 1) * rng.choice([-1.0, 1.0], k + 1)
         last = -coeff @ span  # dependence with all coefficients nonzero
         pts = np.vstack([span, last.reshape(1, -1)])
-        cert = extreme_ray_from_points(pts, seed=3)
+        cert = extreme_ray_from_points(pts)
         n = pts.shape[1]
         assert cert.rank == k
         assert verify_certificate(cert, complete_graph(n))

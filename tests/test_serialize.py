@@ -148,6 +148,27 @@ def test_canonical_dumps_is_deterministic():
         canonical_dumps({"x": math.inf})
 
 
+def test_canonical_dumps_converts_numpy_values_once():
+    assert canonical_dumps(np.int64(3)) == "3\n"
+    assert canonical_dumps(np.float32(0.5)) == "0.5\n"
+    assert canonical_dumps(np.float64(0.1)) == "0.1\n"
+    payload = {"i": np.int64(-2), "x": [np.float32(0.25), (np.float64(1.5), np.arange(2))],
+               "m": {"rows": np.eye(2)}, "t": (np.int64(1), [np.zeros(1)])}
+    assert json.loads(canonical_dumps(payload)) == {
+        "i": -2, "x": [0.25, [1.5, [0, 1]]], "m": {"rows": [[1.0, 0.0], [0.0, 1.0]]},
+        "t": [1, [[0.0]]],
+    }
+    cert = cycle_extreme_ray(4)
+    assert canonical_dumps({"c": [cert]}) == canonical_dumps({"c": [dump_certificate(cert)]})
+    with pytest.raises(TypeError):
+        canonical_dumps({"x": object()})
+    with pytest.raises(TypeError):
+        canonical_dumps({"x": {1, 2}})
+    for nan in (np.float64("nan"), np.float32("nan"), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            canonical_dumps({"x": nan})
+
+
 def test_render_index():
     assert render_index(3) == 3
     assert render_index(np.int64(7)) == 7

@@ -15,8 +15,8 @@ pattern-supported PSD matrix pairing negatively with the data. Both entry
 points reach a completion through one step that asks for every eigenvalue
 to be at least a floor: Gram propagation of the shifted data on chordal
 patterns, the search elsewhere. A PSD completion asks for floor 0; a
-positive definite witness starts at half the smallest clique-block
-eigenvalue and halves the floor until one is found. The block scan is the
+positive definite witness asks once, at half the smallest clique-block
+eigenvalue or, off chordal patterns, a lower floor. The block scan is the
 only place that decomposes a clique block: on chordal patterns one stacked
 eigh per clique size, whose eigenpairs give the verdict and, shifted by the
 floor, the Gram vectors; elsewhere a stacked eigvalsh.
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotChordal, NotPartiallyPositive, PatternMismatch
-from .graphs import Graph, edge_key, rooted_clique_order
+from .graphs import Graph, edge_key, index_pair, rooted_clique_order
 from .linalg import (
     DEFAULT_TOL,
     _gram_vectors,
@@ -62,13 +62,19 @@ class PartialSymmetricMatrix:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise PatternMismatch(f"size n={self.n!r} is not an integer")
         diag = np.asarray(self.diag, dtype=float).reshape(-1)
         if diag.shape != (self.n,):
             raise PatternMismatch(f"diagonal length {diag.shape[0]} != n={self.n}")
         if not np.all(np.isfinite(diag)):
             raise PatternMismatch("diagonal entries must be finite")
         canon = {}
-        for (i, j), a in self.entries.items():
+        for ij, a in self.entries.items():
+            try:
+                i, j = index_pair(ij)
+            except (TypeError, ValueError):
+                raise PatternMismatch(f"entry index {ij!r} is not an integer pair") from None
             if i == j or not (0 <= i < self.n and 0 <= j < self.n):
                 raise PatternMismatch(f"entry index ({i},{j}) invalid for n={self.n}")
             a = float(a)
@@ -346,13 +352,14 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     of a shortest chordless cycle; (b) is vacuous on chordal patterns. A PD
     witness has rank n, so (b) needs no test of its own: the code looks for
     the witness directly. On non-chordal patterns a negative cycle
-    certificate pairing proves "no" first. The witness search starts at the
-    eigenvalue floor s = half the smallest clique-block eigenvalue and halves
-    s while no completion with every eigenvalue >= s is found. The first
-    floor is always tried; the search stops once s <= 2 * (10 * tol) * (1 +
-    max|data|), below which the search's own tolerance of 10 * tol no
-    longer guarantees a PD witness, and answers "undetermined". max_iter
-    caps the Newton steps of each non-chordal search.
+    certificate pairing proves "no" first. Then one completion with every
+    eigenvalue >= s is sought: the witness if PD, else "undetermined". s is
+    half the smallest clique-block eigenvalue, which Gram propagation always
+    reaches, capped off chordal patterns at 2 * (10 * tol) * (1 + max|data|),
+    the lowest floor where the search's tolerance 10 * tol leaves a PD
+    witness. That search (max_iter Newton steps) returns the zero-filled data
+    or the max-det completion, PD whenever a PD completion exists (Grone-
+    Johnson-Sa-Wolkowicz, 1984), so no higher floor succeeds where s fails.
     """
     a = _scatter(g, partial)
     ok, _, lam, eig = _clique_block_scan(a, g, strict=True, tol=tol)
@@ -361,12 +368,10 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     if g.peo is None and _cycle_certificate(g, partial, a, tol)[0] is not None:
         return PDExistenceVerdict(answer="no", failed_condition="rank_bound")
 
-    stop = 2.0 * (10 * tol) * (1.0 + partial.max_abs())
     s = 0.5 * lam
-    while True:
-        witness = _complete(g, partial, eig, s, tol, max_iter)
-        if witness is not None and psd_min_eig(witness, tol) > 0.0:
-            return PDExistenceVerdict(answer="yes", witness=witness)
-        s *= 0.5
-        if s <= stop:
-            return PDExistenceVerdict(answer="undetermined")
+    if g.peo is None:
+        s = min(s, 2.0 * (10 * tol) * (1.0 + partial.max_abs()))
+    witness = _complete(g, partial, eig, s, tol, max_iter)
+    if witness is not None and psd_min_eig(witness, tol) > 0.0:
+        return PDExistenceVerdict(answer="yes", witness=witness)
+    return PDExistenceVerdict(answer="undetermined")

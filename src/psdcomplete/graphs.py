@@ -37,6 +37,15 @@ __all__ = [
 _CYCLE_LIMIT = 64
 
 
+def index_pair(e) -> tuple[int, int]:
+    """The pair e as two ints by operator.index; TypeError or ValueError when e
+    is not a pair, or holds a bool or a non-integer."""
+    i, j = e
+    if isinstance(i, bool) or isinstance(j, bool):
+        raise TypeError(f"{e!r} holds a bool")
+    return operator.index(i), operator.index(j)
+
+
 def edge_key(i: int, j: int) -> tuple[int, int]:
     """Canonical (min, max) form of an undirected edge."""
     return (i, j) if i < j else (j, i)
@@ -67,17 +76,14 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise InputError("vertex count must be a positive integer", code="schema")
         canon = set()
         for e in self.edges:
-            i, j = e
             try:
-                if isinstance(i, bool) or isinstance(j, bool):
-                    raise TypeError
-                i, j = operator.index(i), operator.index(j)
-            except TypeError:
-                raise InputError(f"edge {e!r} has non-integer endpoints",
+                i, j = index_pair(e)
+            except (TypeError, ValueError):
+                raise InputError(f"edge {e!r} is not a pair of integers",
                                  code="schema") from None
             if i == j:
                 raise InputError(f"self-loop at vertex {i}", code="value")
@@ -88,7 +94,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        return cls(n, frozenset(tuple(e) for e in edges))
+        try:
+            edges = frozenset(tuple(e) for e in edges)
+        except TypeError:
+            raise InputError("edges must be an iterable of pairs", code="schema") from None
+        return cls(n, edges)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

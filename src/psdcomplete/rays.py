@@ -102,7 +102,7 @@ def extreme_ray_from_points(points, head_weights=None) -> ExtremeRayCertificate:
     points : array-like of shape (k+2, dim), k >= 2
         Points spanning a (k+1)-dimensional space with a unique (up to scale)
         dependence whose coefficients are all nonzero.
-    head_weights : optional array of k+1 positive reals
+    head_weights : optional array of k+1 finite positive reals
         Coefficients on the first k+1 squares; the last weight is the unique
         negative value keeping the form PSD on the dependence ellipsoid.
         Where the kernel form vanishes at a point, the head weights are
@@ -138,8 +138,8 @@ def extreme_ray_from_points(points, head_weights=None) -> ExtremeRayCertificate:
 
     if head_weights is not None:
         d = np.asarray(head_weights, dtype=float)
-        if d.shape != (s - 1,) or not np.all(d > 0):
-            raise ValueError(f"head_weights must be {s - 1} positive reals")
+        if d.shape != (s - 1,) or not np.all(np.isfinite(d) & (d > 0)):
+            raise ValueError(f"head_weights must be {s - 1} finite positive reals")
     else:
         d = np.ones(s - 1)
 

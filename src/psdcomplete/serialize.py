@@ -124,20 +124,24 @@ def _float_rows(rows, what, location):
     return np.array(out, dtype=float)
 
 
+def _int_pairs(pairs, what, location):
+    """A JSON list of integer pairs as a list of tuples."""
+    if not isinstance(pairs, list):
+        raise InputError(f"{what} must be a list of pairs", location=location,
+                         code="schema")
+    out = []
+    for t, p in enumerate(pairs):
+        if not isinstance(p, list) or len(p) != 2:
+            raise InputError(f"{what}[{t}] must be a pair", location=location,
+                             code="schema")
+        out.append((_int_value(p[0], f"{what}[{t}][0]", location),
+                    _int_value(p[1], f"{what}[{t}][1]", location)))
+    return out
+
+
 def load_graph(obj, location="graph") -> Graph:
     n = _int_value(_require(obj, "n", location), "n", location)
-    edges_raw = _require(obj, "edges", location)
-    if not isinstance(edges_raw, list):
-        raise InputError("edges must be a list of [i, j] pairs", location=location,
-                         code="schema")
-    edges = []
-    for t, e in enumerate(edges_raw):
-        if not isinstance(e, list) or len(e) != 2:
-            raise InputError(f"edges[{t}] must be a pair", location=location,
-                             code="schema")
-        i = _int_value(e[0], f"edges[{t}][0]", location)
-        j = _int_value(e[1], f"edges[{t}][1]", location)
-        edges.append((i, j))
+    edges = _int_pairs(_require(obj, "edges", location), "edges", location)
     return _build(Graph.from_edges, location, n, edges)
 
 
@@ -228,18 +232,7 @@ def dump_certificate(cert: ExtremeRayCertificate) -> dict:
 
 
 def load_polygon(obj, location="polygon") -> LatticePolygon:
-    raw = _require(obj, "vertices", location)
-    if not isinstance(raw, list):
-        raise InputError("vertices must be a list of [x, y] pairs", location=location,
-                         code="schema")
-    vs = []
-    for t, v in enumerate(raw):
-        if not isinstance(v, list) or len(v) != 2:
-            raise InputError(f"vertices[{t}] must be a pair", location=location,
-                             code="schema")
-        x = _int_value(v[0], f"vertices[{t}][0]", location)
-        y = _int_value(v[1], f"vertices[{t}][1]", location)
-        vs.append((x, y))
+    vs = _int_pairs(_require(obj, "vertices", location), "vertices", location)
     return _build(LatticePolygon, location, tuple(vs))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -30,7 +31,6 @@ from psdcomplete import (
 )
 from psdcomplete import completion
 from psdcomplete.completion import _best_cycle_layout, _clique_block_scan
-from psdcomplete.linalg import DEFAULT_TOL
 
 from helpers import (
     hard_cycle_instance,
@@ -56,6 +56,11 @@ def test_partial_matrix_validation():
         PartialSymmetricMatrix(2, np.ones(2), {(0, 0): 1.0})
     with pytest.raises(PatternMismatch):
         PartialSymmetricMatrix(2, np.array([1.0, np.nan]), {})
+    with pytest.raises(PatternMismatch):
+        PartialSymmetricMatrix(2.0, np.ones(2), {})
+    for entries in ({(0.0, 1): 0.5}, {(True, 2): 0.5, (0, 1): 0.5}):
+        with pytest.raises(PatternMismatch):
+            PartialSymmetricMatrix(3, np.ones(3), entries)
     g = path_graph(3)
     part = PartialSymmetricMatrix(3, np.ones(3), {(0, 1): 1.0})
     with pytest.raises(PatternMismatch):
@@ -233,7 +238,9 @@ def test_pd_exists_c4_zeros(searches):
     g, zeros, _ = c4_patterns()
     verdict = pd_completion_exists(g, zeros)
     assert verdict.answer == "yes"
-    assert searches == [0.5]  # the first floor: half the edge blocks' eigenvalue 1
+    # One search at 2 * (10 * tol) * (1 + max|data|), below half the edge
+    # blocks' eigenvalue 1; the zero-filled data already clears it.
+    assert searches == [4e-08]
     assert psd_min_eig(verdict.witness) > 0.0
     assert numeric_rank(verdict.witness) == 4
     assert np.max(np.abs(np.diagonal(verdict.witness) - 1.0)) <= 1e-8
@@ -301,20 +308,60 @@ def signed_c4(c):
 def test_pd_exists_signed_c4(searches, c, answer):
     # Unit diagonal with (c, c, c, -c) around C4 has a PD completion iff
     # arccos c > pi/4 (the cycle inequalities of Barrett-Johnson-Loewy).
-    # At c = 0.7 the first floors fail and a halved one succeeds; at
-    # c = cos(pi/4) the data is PSD- but not PD-completable. Both run at the
-    # default max_iter.
+    # At c = cos(pi/4) the data is PSD- but not PD-completable. Either way
+    # one search runs, at the default max_iter and at the floor
+    # 2 * (10 * tol) * (1 + max|data|) = 4e-8, below half the blocks'
+    # smallest eigenvalue 1 - c.
     g, part = signed_c4(c)
     verdict = pd_completion_exists(g, part)
     assert verdict.answer == answer
-    assert all(b == 0.5 * a for a, b in zip(searches, searches[1:]))
+    assert searches == [4e-08]
     if answer == "yes":
-        assert len(searches) >= 2
         assert psd_min_eig(verdict.witness) > 0.0
         assert completion_residual(part, verdict.witness) <= 1e-8
     else:
         assert verdict.witness is None
-        assert searches[-1] > 2.0 * (10 * DEFAULT_TOL) * 2.0 >= 0.5 * searches[-1]
+
+
+def test_pd_exists_searches_at_half_a_small_block_eigenvalue(searches):
+    # Every edge block of C4 with edges 1 - 5e-9 has smallest eigenvalue
+    # 5e-9, so half of it lies below 2 * (10 * tol) * 2 and is the floor.
+    g = cycle_graph(4)
+    near = 1.0 - 5e-9
+    part = PartialSymmetricMatrix(4, np.ones(4), {e: near for e in g.sorted_edges()})
+    verdict = pd_completion_exists(g, part)
+    assert verdict.answer == "yes"
+    assert searches == [pytest.approx(2.5e-9, rel=1e-6)]
+    assert psd_min_eig(verdict.witness) > 0.0
+    assert completion_residual(part, verdict.witness) <= 1e-8
+
+
+def test_cycle_inequalities_decide_random_cycle_data():
+    # Unit-diagonal data with edge entries cos(theta) on C_m has a PSD
+    # completion iff, for every odd set S of edges, sum_S theta - sum_rest
+    # theta <= (|S| - 1) pi, and a PD one iff every such inequality is strict
+    # (Barrett-Johnson-Loewy, Mem. AMS 584, 1996). slack is the least margin.
+    rng = np.random.default_rng(16)
+    seen = Counter()
+    for m in (4, 5, 6, 8):
+        g = cycle_graph(m)
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=m)))
+        odd = np.sum(signs > 0, axis=1)
+        signs, odd = signs[odd % 2 == 1], odd[odd % 2 == 1]
+        for _ in range(60):
+            theta = rng.uniform(0.01, math.pi - 0.01, m)
+            slack = float(np.min((odd - 1) * math.pi - signs @ theta))
+            part = PartialSymmetricMatrix(m, np.ones(m),
+                                          dict(zip(g.sorted_edges(), np.cos(theta))))
+            answer = pd_completion_exists(g, part).answer
+            verdict = complete_or_certify(g, part).verdict
+            if slack > 1e-3:
+                seen["inside"] += 1
+                assert (answer, verdict) == ("yes", "completed"), (m, theta)
+            elif slack < -1e-3:
+                seen["outside"] += 1
+                assert answer != "yes" and verdict != "completed", (m, theta)
+    assert seen["inside"] > 150 and seen["outside"] > 10, seen
 
 
 def test_boundary_c4_completes_at_rank_two():

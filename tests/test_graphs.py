@@ -46,6 +46,11 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(InputError):
         Graph(0)
+    for make in (lambda: Graph(True), lambda: Graph.from_edges(3, [(0, 1, 2)]),
+                 lambda: Graph.from_edges(3, [5])):
+        with pytest.raises(InputError) as exc:
+            make()
+        assert exc.value.code == "schema"
 
 
 def test_triangle_is_chordal():

@@ -167,6 +167,8 @@ def test_ray_rejects_bad_inputs():
         extreme_ray_from_points(zero_coeff)
     with pytest.raises(ValueError):
         extreme_ray_from_points(cycle_extreme_ray(4).points, np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(ValueError):
+        extreme_ray_from_points(cycle_extreme_ray(4).points, np.array([1.0, np.inf, 1.0]))
 
 
 def test_pairing_hard_c4_is_minus_four_thirds():

@@ -322,7 +322,7 @@ def complete_or_certify(g: Graph, partial: PartialSymmetricMatrix,
     Newton steps on the max-det dual. With neither a certificate nor a
     witness the verdict is "undetermined": the search stopped at an iterate
     that proves infeasibility but is not reported as a certificate, or it
-    gave up after max_iter steps or a stalled polish.
+    gave up after max_iter steps or at an iterate that is not a witness.
     """
     a = _scatter(g, partial)
     ok, clique, lam, eig = _clique_block_scan(a, g, strict=False, tol=tol)
@@ -353,13 +353,13 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     witness has rank n, so (b) needs no test of its own: the code looks for
     the witness directly. On non-chordal patterns a negative cycle
     certificate pairing proves "no" first. Then one completion with every
-    eigenvalue >= s is sought: the witness if PD, else "undetermined". s is
-    half the smallest clique-block eigenvalue, which Gram propagation always
-    reaches, capped off chordal patterns at 2 * (10 * tol) * (1 + max|data|),
-    the lowest floor where the search's tolerance 10 * tol leaves a PD
-    witness. That search (max_iter Newton steps) returns the zero-filled data
-    or the max-det completion, PD whenever a PD completion exists (Grone-
-    Johnson-Sa-Wolkowicz, 1984), so no higher floor succeeds where s fails.
+    eigenvalue >= s is sought, s = half the smallest clique-block eigenvalue
+    capped off chordal patterns at 2 * (10 * tol) * (1 + max|data|): the
+    zero-filled data if it clears s, however near singular, else the max-det
+    completion (max_iter Newton steps), PD whenever a PD completion exists
+    (Grone-Johnson-Sa-Wolkowicz, 1984). In exact arithmetic no higher floor
+    succeeds where s fails; near the data's PD margin the numeric search
+    may, so "undetermined" there does not rule out a PD completion.
     """
     a = _scatter(g, partial)
     ok, _, lam, eig = _clique_block_scan(a, g, strict=True, tol=tol)

@@ -135,14 +135,17 @@ def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000
     most max_iter steps, until ``S^-1`` matches the shifted data within
     ``0.1 * eps * scale``. If the line search collapses because the iterates
     have drifted to the boundary of the PSD cone, a Gauss-Newton polish of a
-    Gram factor of ``S^-1`` finishes the job.
+    Gram factor of ``S^-1`` finishes the job. It also collapses near the
+    data's PD margin, where S is too ill-conditioned for ``S^-1`` to meet
+    the stop test although it is already a witness: when the polish stalls,
+    the iterate itself goes to the final check.
 
     Returns a witness matrix satisfying the specified entries exactly with
     ``psd_min_eig >= shift - eps * scale``, or None. None comes at once when
     an iterate pairs negatively with the shifted data, ``<S, A - shift*I> <
     -eps * scale * trace S``: S is then PSD and on the pattern, so no
-    completion exists. None after max_iter steps or a stalled polish is NOT
-    an infeasibility certificate.
+    completion exists. None after max_iter steps or a failed final check is
+    NOT an infeasibility certificate.
     """
     partial.validate_against(g)
     n = g.n
@@ -184,9 +187,9 @@ def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000
                 break
             t *= 0.5
         else:  # the line search collapsed: S^-1 is near the PSD boundary
-            x = _polish(x, i, j, w, target, stop, eps)
-            if x is None:
-                return None
+            polished = _polish(x, i, j, w, target, stop, eps)
+            if polished is not None:
+                x = polished
             break
         y = y + t * step
         s, low, f = cand

@@ -29,7 +29,7 @@ from psdcomplete import (
     shortest_induced_cycle,
     verify_certificate,
 )
-from psdcomplete import completion
+from psdcomplete import affine_psd_feasibility, completion
 from psdcomplete.completion import _best_cycle_layout, _clique_block_scan
 
 from helpers import (
@@ -275,8 +275,9 @@ def test_pd_exists_strictly_infeasible_cycle():
 
 def test_pd_exists_chordal():
     g = path_graph(3)
-    # The second data set has block margin 5e-9, just above tol: its first
-    # floor lies below the search's stopping floor and must still be tried.
+    # The second data set has block margin 5e-9, just above tol: its floor
+    # 0.5 * lam lies below 2 * (10 * tol) * (1 + max|data|), and Gram
+    # propagation must still reach it and give a witness.
     near = 1.0 - 5e-9
     for part in (
         PartialSymmetricMatrix(3, np.array([1.0, 2.0, 1.0]), {(0, 1): 0.5, (1, 2): -0.5}),
@@ -334,6 +335,45 @@ def test_pd_exists_searches_at_half_a_small_block_eigenvalue(searches):
     assert searches == [pytest.approx(2.5e-9, rel=1e-6)]
     assert psd_min_eig(verdict.witness) > 0.0
     assert completion_residual(part, verdict.witness) <= 1e-8
+
+
+def test_pd_witness_is_zero_filled_data_that_clears_the_floor(searches):
+    # Every edge of C4 is 0.5 - 2.5e-8: the blocks' smallest eigenvalue is
+    # about 0.5, but the zero-filled data's is 1 - 2 * 0.5 + 5e-8 = 5e-8. It
+    # clears the floor 4e-8 less the search tolerance 2e-8, so it is the
+    # witness as it stands, nearly singular although better conditioned
+    # completions exist.
+    g = cycle_graph(4)
+    part = PartialSymmetricMatrix(4, np.ones(4), {e: 0.5 - 2.5e-8 for e in g.sorted_edges()})
+    verdict = pd_completion_exists(g, part)
+    assert verdict.answer == "yes"
+    assert searches == [4e-08]
+    assert np.array_equal(verdict.witness, part.scatter())
+    assert psd_min_eig(verdict.witness) == pytest.approx(5e-8, rel=1e-6)
+
+
+def near_margin_instance(seed):
+    """Rank-2 Gram data + 1e-6 * I on the connected non-chordal G(16, 28) of seed."""
+    networkx = pytest.importorskip("networkx")
+    g = Graph.from_edges(16, networkx.gnm_random_graph(16, 28, seed=seed).edges())
+    v = np.random.default_rng((seed, 2)).standard_normal((16, 2))
+    return g, PartialSymmetricMatrix.from_full(g, v @ v.T + 1e-6 * np.eye(16))
+
+
+@pytest.mark.parametrize("seed", [29, 44, 78])
+def test_pd_exists_near_the_data_pd_margin(seed):
+    # The data is PD with margin 1e-6, so every floor below it has a witness.
+    # There S^-1 is too ill-conditioned for the search's stop test: the line
+    # search collapses and the polish stalls at an iterate that is already a
+    # witness, which the final eigenvalue check must accept.
+    g, part = near_margin_instance(seed)
+    assert pd_completion_exists(g, part).answer == "yes"
+    scale = 1.0 + part.max_abs()
+    for s in np.geomspace(1e-8, 5e-7, 12):
+        w = affine_psd_feasibility(g, part, shift=s)
+        assert w is not None, s
+        assert psd_min_eig(w) >= s - 1e-8 * scale
+        assert completion_residual(part, w) == 0.0
 
 
 def test_cycle_inequalities_decide_random_cycle_data():

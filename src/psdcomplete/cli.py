@@ -8,9 +8,10 @@ values are converted only in serialize.canonical_dumps.
 
 Exit status: 0 on success, 1 when the verdict is negative (infeasible / no /
 not_psd), 2 on malformed input or an unwritable --out file, 3 when a
-completion fails the CLI's own re-validation against the input (an internal
-fault, not the input's). Errors are reported as {"code", "message",
-"location"}.
+completion fails the CLI's own re-validation against the input or Gram
+propagation finds clique blocks that do not fit together (an internal fault,
+not the input's: data that passed the block scan on a chordal pattern always
+has a completion). Errors are reported as {"code", "message", "location"}.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import sys
 
 from . import completion, graphs, moments, rays, serialize
-from .errors import InputError, PsdCompleteError
+from .errors import GramMismatch, InputError, PsdCompleteError
 from .linalg import DEFAULT_TOL, numeric_rank, psd_min_eig
 
 
@@ -172,10 +173,10 @@ def main(argv=None) -> int:
         report, negative = _RUNNERS[args.command](args, tol)
     except InputError as exc:
         return _fail(2, exc.code, exc.message, exc.location)
+    except (GramMismatch, _InternalError) as exc:
+        return _fail(3, "internal", str(exc), args.command)
     except PsdCompleteError as exc:
         return _fail(2, "value", str(exc), args.command)
-    except _InternalError as exc:
-        return _fail(3, "internal", str(exc), args.command)
 
     text = serialize.canonical_dumps({**report, "tolerance": tol})
     if args.out:

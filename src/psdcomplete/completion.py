@@ -4,7 +4,8 @@ A partial symmetric matrix specifies the diagonal and one value per edge of a
 pattern graph. A `Graph` analyses itself once, and each call decides in
 stages. A fully specified clique block that is not PSD refutes the data at
 once. Chordal patterns then complete constructively by Gram propagation,
-with completion rank bounded by the clique number. On non-chordal patterns a
+one clique-tree level per stacked alignment, with completion rank bounded
+by the clique number. On non-chordal patterns a
 cycle extreme ray on a shortest chordless cycle is tried first, ranked over
 all layouts in closed form, and certifies infeasibility when it pairs
 negatively with the data; only data it does not refute goes to the
@@ -19,7 +20,8 @@ positive definite witness asks once, at half the smallest clique-block
 eigenvalue or, off chordal patterns, a lower floor. The block scan is the
 only place that decomposes a clique block: on chordal patterns one stacked
 eigh per clique size, whose eigenpairs give the verdict and, shifted by the
-floor, the Gram vectors; elsewhere a stacked eigvalsh.
+floor, the Gram vectors; elsewhere a stacked eigvalsh. Both go through
+``linalg``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotChordal, NotPartiallyPositive, PatternMismatch
-from .graphs import Graph, edge_key, index_pair, rooted_clique_order
+from .graphs import Graph, edge_key, index_pair
 from .linalg import (
     DEFAULT_TOL,
+    _block_eig,
     _gram_vectors,
     affine_psd_feasibility,
     align_gram,
@@ -169,13 +172,14 @@ def _clique_block_scan(a: np.ndarray, g: Graph, strict: bool, tol: float):
     Blocks of one size go through one stacked eigh, or eigvalsh when g is not
     chordal. Returns (ok, clique, min_eig, eig) where clique/min_eig describe
     the first violating block in clique order (or the first globally
-    smallest eigenvalue when ok); eig[t] is the ascending (w, v) of the
-    block of g.cliques[t] for _propagate, None when g is not chordal.
+    smallest eigenvalue when ok); eig holds one (clique indices, w, v) per
+    clique size, the ascending eigenpairs of those blocks stacked, for
+    _propagate, and is empty when g is not chordal.
     """
     cliques = g.cliques
     lam = np.empty(len(cliques))
     scale = np.empty(len(cliques))
-    eig = [None] * len(cliques)
+    eig = []
     by_size = {}
     for t, K in enumerate(cliques):
         by_size.setdefault(len(K), []).append(t)
@@ -184,12 +188,11 @@ def _clique_block_scan(a: np.ndarray, g: Graph, strict: bool, tol: float):
         blocks = a[rows[:, :, None], rows[:, None, :]]
         scale[idx] = 1.0 + np.max(np.abs(blocks), axis=(1, 2))
         if g.peo is None:
-            lam[idx] = np.linalg.eigvalsh(blocks)[:, 0]
+            lam[idx] = _block_eig(blocks, vectors=False)[:, 0]
             continue
-        w, v = np.linalg.eigh(blocks)
+        w, v = _block_eig(blocks, vectors=True)
         lam[idx] = w[:, 0]
-        for t, wt, vt in zip(idx, w, v):
-            eig[t] = wt, vt
+        eig.append((idx, w, v))
     bad = lam <= tol * scale if strict else lam < -tol * scale
     t = int(np.argmax(bad)) if bad.any() else int(np.argmin(lam))
     return not bad[t], cliques[t], float(lam[t]), eig
@@ -229,31 +232,42 @@ def chordal_complete(g: Graph, partial: PartialSymmetricMatrix,
 
 def _propagate(g: Graph, eig: list, shift: float, tol: float) -> np.ndarray:
     """Completion with every eigenvalue >= shift on the chordal pattern g,
-    by Gram propagation from the clique blocks' eigenpairs eig.
+    by Gram propagation from the clique blocks' stacked eigenpairs eig.
 
-    Walks the clique tree from the largest clique outward. A block of A -
-    shift*I has the eigenvalues w - shift and the same eigenvectors, so no
-    block is decomposed again. Separator vectors are rotated onto the
-    committed ones (the Gram matrices agree, so the alignment is exact).
-    The vectors live in the first r columns of one n x omega array, r the
-    largest block rank so far; placed marks the vertices that have one.
-    shift*I is added back, except at 0, where it would turn -0.0 into 0.0.
+    A block of A - shift*I has the eigenvalues w - shift and the same
+    eigenvectors, so no block is decomposed again. Every block's Gram
+    vectors fill R columns, R the largest kept count over all blocks, so the
+    rank stays <= R. The clique tree is walked from the largest clique
+    outward one level at a time: two cliques of one level share only
+    vertices that earlier levels placed (running intersection), so a level
+    is one stacked align_gram and its writes never overlap. Each clique's
+    vertices are padded to the level's widest clique with n, a basis row
+    that stays zero and counts as placed. Its placed rows of the basis, the
+    rest being zero, are matched with its Gram vectors with the unplaced
+    rows zeroed; the Gram matrices agree, so the alignment is exact, and the
+    rotated vectors of the unplaced vertices are written. shift*I is added
+    back, except at 0, where it would turn -0.0 into 0.0.
     """
-    tree = g.clique_tree
-    basis = np.zeros((g.n, max(len(K) for K in tree.cliques)))
-    placed = np.zeros(g.n, dtype=bool)
-    r = 0
-    for idx in rooted_clique_order(tree):
-        K = np.array(tree.cliques[idx])
-        w, v = eig[idx]
-        q = _gram_vectors(w - shift, v, tol)
-        r = max(r, q.shape[1])
-        q = np.pad(q, ((0, 0), (0, r - q.shape[1])))
-        sep = placed[K]
-        rot = align_gram(basis[K[sep], :r], q[sep], tol)
-        basis[K[~sep], :r] = q[~sep] @ rot.T
-        placed[K] = True
-    c = basis[:, :r] @ basis[:, :r].T
+    cliques = g.cliques
+    omega = max(len(K) for K in cliques)
+    grams = np.zeros((len(cliques), omega, omega))
+    for idx, w, v in eig:
+        size = w.shape[1]
+        grams[idx, :size, :size] = _gram_vectors(w - shift, v, tol)
+    # Kept columns lead in every block, so R counts the columns in use.
+    grams = grams[:, :, :np.count_nonzero(grams.any(axis=(0, 1)))]
+    basis = np.zeros((g.n + 1, grams.shape[2]))
+    placed = np.zeros(g.n + 1, dtype=bool)
+    placed[g.n] = True
+    for level, rows in g._clique_levels:
+        rows = np.array(rows)
+        sep = placed[rows]
+        q = grams[level, :rows.shape[1]]
+        rot = align_gram(basis[rows], q * sep[:, :, None], tol)
+        basis[rows[~sep]] = (q @ np.swapaxes(rot, 1, 2))[~sep]
+        placed[rows] = True
+    basis = basis[:-1]
+    c = basis @ basis.T
     c = 0.5 * (c + c.T)
     return c + shift * np.eye(g.n) if shift else c
 

@@ -146,6 +146,18 @@ class Graph:
         return CliqueTree(cliques, tuple(tree_edges), tuple(separators))
 
     @cached_property
+    def _clique_levels(self) -> tuple:
+        # Per level of rooted_clique_order: its clique indices, and each
+        # clique's vertices padded with n to the level's largest clique.
+        cliques = self.clique_tree.cliques
+        out = []
+        for level in rooted_clique_order(self.clique_tree):
+            width = max(len(cliques[t]) for t in level)
+            out.append((level, [cliques[t] + (self.n,) * (width - len(cliques[t]))
+                                for t in level]))
+        return tuple(out)
+
+    @cached_property
     def shortest_cycles(self) -> tuple:
         if self.peo is not None:
             return ()
@@ -306,10 +318,12 @@ def clique_tree(g: Graph) -> CliqueTree:
 
 
 def rooted_clique_order(tree: CliqueTree) -> list:
-    """Breadth-first clique ordering from the largest clique, as clique indices.
+    """Breadth-first levels of the clique tree rooted at the largest clique:
+    a list of lists of clique indices, the root's level first.
 
     Each clique meets the union of the cliques before it inside its tree
-    parent, which comes earlier in the order.
+    parent, which lies one level up. By the running intersection property,
+    two cliques of one level share only vertices of earlier levels.
     """
     k = len(tree.cliques)
     root = max(range(k), key=lambda i: (len(tree.cliques[i]), -i))
@@ -321,16 +335,17 @@ def rooted_clique_order(tree: CliqueTree) -> list:
         lst.sort()
     seen = [False] * k
     seen[root] = True
-    order = [root]
-    q = deque([root])
-    while q:
-        i = q.popleft()
-        for j in nbrs[i]:
-            if not seen[j]:
-                seen[j] = True
-                order.append(j)
-                q.append(j)
-    return order
+    levels = [[root]]
+    while True:
+        nxt = []
+        for i in levels[-1]:
+            for j in nbrs[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    nxt.append(j)
+        if not nxt:
+            return levels
+        levels.append(nxt)
 
 
 def _shortest_cycle_length(g: Graph):

@@ -1,7 +1,9 @@
 """Symmetric-matrix primitives: eigenvalues, Gram vectors, alignment, feasibility.
 
 ``_gram_vectors`` is the one rule that turns eigenpairs into Gram vectors,
-for ``gram_factor`` and for the chordal completion's clique blocks alike.
+for ``gram_factor`` and, a whole stack at once, for the chordal completion's
+clique blocks alike. ``_block_eig`` is the clique-block scan's one stacked
+decomposition.
 
 Tolerances are relative: a check at tolerance ``tol`` on a matrix ``A`` uses
 the scale ``1 + |A|`` (spectral or max-entry norm as appropriate), so all
@@ -86,11 +88,22 @@ def _gram_vectors(w, v, tol: float) -> np.ndarray:
     """Gram vectors, one per row, from an ascending eigendecomposition (w, v).
 
     Keeps the eigenpairs with ``w > tol * max(1, |w|_max)``, largest first,
-    each eigenvector scaled by the square root of its eigenvalue.
+    each eigenvector scaled by the square root of its eigenvalue. On a stack
+    (w of shape (k, s), v of shape (k, s, s)) each block applies the rule to
+    its own eigenvalues and keeps all s columns, zero past its kept ones.
     """
-    lam = float(np.max(np.abs(w))) if w.size else 0.0
-    idx = np.where(w > tol * max(1.0, lam))[0][::-1]
-    return v[:, idx] * np.sqrt(w[idx])
+    lam = np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+    keep = w > tol * np.maximum(1.0, lam)
+    q = (v * np.sqrt(np.where(keep, w, 0.0))[..., None, :])[..., ::-1]
+    if w.ndim > 1:
+        return q
+    return np.ascontiguousarray(q[:, :np.count_nonzero(keep)])
+
+
+def _block_eig(blocks, vectors: bool):
+    """Ascending eigenvalues of a stack of symmetric blocks, with the
+    eigenvectors when vectors is true: one stacked eigh or eigvalsh."""
+    return np.linalg.eigh(blocks) if vectors else np.linalg.eigvalsh(blocks)
 
 
 def align_gram(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -99,27 +112,34 @@ def align_gram(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``p`` and ``q`` are arrays of shape (s, r), one vector per row, required
     to have equal Gram matrices within ``10 * tol`` relative to ``1 + max``
     Gram entry; then the optimal T aligns the configurations exactly up to
-    that mismatch.
+    that mismatch. Stacks of shape (g, s, r) align g pairs at once: each
+    block is checked against its own scale, GramMismatch names the worst,
+    and one stacked SVD returns the (g, r, r) maps. Zero rows, matched in p
+    and q, change neither the check nor the map.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise GramMismatch(f"shape mismatch {p.shape} vs {q.shape}")
-    if p.ndim != 2:
+    if p.ndim < 2:
         p = p.reshape(len(p), -1)
         q = q.reshape(len(q), -1)
-    s, r = p.shape
-    if s:
-        gp = p @ p.T
-        gq = q @ q.T
-        scale = 1.0 + max(np.max(np.abs(gp)), np.max(np.abs(gq)))
-        gap = np.max(np.abs(gp - gq))
+    pt = np.swapaxes(p, -1, -2)
+    if p.shape[-2]:
+        gp = p @ pt
+        gq = q @ np.swapaxes(q, -1, -2)
+        scale = 1.0 + np.maximum(np.max(np.abs(gp), axis=(-2, -1)),
+                                 np.max(np.abs(gq), axis=(-2, -1)))
+        gap = np.max(np.abs(gp - gq), axis=(-2, -1))
         tol = 10 * tol
-        if gap > tol * scale:
-            raise GramMismatch(f"Gram gap {gap:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    if r == 0:
-        return np.eye(0)
-    u, _, vt = np.linalg.svd(p.T @ q)
+        if np.any(gap > tol * scale):
+            k = int(np.argmax(gap / scale))
+            where = f" in block {k}" if gap.ndim else ""
+            raise GramMismatch(f"Gram gap {gap.flat[k]:.3e} exceeds {tol:.1e} * "
+                               f"{scale.flat[k]:.3e}{where}")
+    if p.shape[-1] == 0:
+        return np.zeros(p.shape[:-2] + (0, 0))
+    u, _, vt = np.linalg.svd(pt @ q)
     return u @ vt
 
 

@@ -19,6 +19,7 @@ from psdcomplete import (
     is_chordal,
     maximal_cliques,
     pd_completion_exists,
+    rooted_clique_order,
     shortest_induced_cycle,
 )
 from psdcomplete import completion, graphs, linalg
@@ -111,6 +112,26 @@ def test_chordal_blocks_are_decomposed_once(monkeypatch):
         assert counts["gram_factor"] == 0
         assert counts["eigh"] <= sizes
         assert counts["check_symmetric"] <= 2
+
+
+def test_chordal_propagation_makes_one_svd_per_level(monkeypatch):
+    """Gram propagation aligns a whole clique-tree level with one stacked SVD."""
+    svds = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(5)
+    g = random_chordal(rng, 30)
+    part = random_psd_partial(rng, g)
+    levels = len(rooted_clique_order(clique_tree(g)))
+    assert levels < len(maximal_cliques(g))
+    for run in (complete_or_certify, pd_completion_exists):
+        svds.clear()
+        run(g, part)
+        assert 0 < len(svds) <= levels
 
 
 def test_analyze_graph_analyses_once(calls, capsys, tmp_path):

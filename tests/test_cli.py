@@ -268,6 +268,25 @@ def test_failed_revalidation_is_an_internal_fault(capsys, c4_files, monkeypatch)
                       "message": "completion failed re-validation against the input"}
 
 
+@pytest.mark.parametrize("command", ["complete", "pd-exists"])
+def test_gram_mismatch_in_propagation_is_an_internal_fault(capsys, tmp_path, monkeypatch,
+                                                           command):
+    # Data that passed the block scan on a chordal pattern always has a
+    # completion, so a failed alignment is the program's fault, not the input's.
+    g = path_graph(3)
+    graph = write_json(tmp_path / "graph.json", dump_graph(g))
+    part = write_json(tmp_path / "partial.json",
+                      dump_partial(3, [1.0, 1.0, 1.0], {(0, 1): 0.5, (1, 2): 0.5}))
+
+    def mismatch(*args, **kwargs):
+        raise psdcomplete.GramMismatch("Gram gap 1.000e+00 exceeds 1.0e-08 * 2.000e+00")
+    monkeypatch.setattr(completion, "align_gram", mismatch)
+    code, report, _ = run(capsys, [command, "--graph", graph, "--partial", part])
+    assert code == 3
+    assert report == {"code": "internal", "location": command,
+                      "message": "Gram gap 1.000e+00 exceeds 1.0e-08 * 2.000e+00"}
+
+
 @pytest.mark.parametrize("edges", [[[0, 1]], [[0, 1], [1, 2]]], ids=["edge", "path"])
 def test_tol_reaches_every_threshold(capsys, tmp_path, edges):
     # Edge (0, 1) holds 1 + 5e-7, so its block's smallest eigenvalue is

@@ -13,6 +13,7 @@ from psdcomplete import (
     PatternMismatch,
     chordal_complete,
     clique_number,
+    clique_tree,
     complete_or_certify,
     completion_residual,
     cycle_extreme_ray,
@@ -26,6 +27,7 @@ from psdcomplete import (
     partially_positive,
     pd_completion_exists,
     psd_min_eig,
+    rooted_clique_order,
     shortest_induced_cycle,
     verify_certificate,
 )
@@ -136,6 +138,50 @@ def test_chordal_complete_random_instances():
             assert abs(a[i, j] - v) <= 1e-8 * scale
         assert psd_min_eig(a) >= -1e-9 * scale
         assert rank <= clique_number(g)
+
+
+# A lone vertex; a forest (empty separators) with an isolated vertex; and a
+# root K4 whose child level mixes a triangle and an edge, with one more level.
+EDGE_CASE_PATTERNS = {
+    "single": Graph(1),
+    "forest": Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (3, 5)]),
+    "mixed-level": Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                                        (0, 4), (1, 4), (2, 5), (4, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_PATTERNS))
+@pytest.mark.parametrize("rank", [0, 1, None])
+def test_gram_propagation_edge_cases(name, rank):
+    g = EDGE_CASE_PATTERNS[name]
+    rng = np.random.default_rng(71)
+    b = rng.standard_normal((g.n if rank is None else rank, g.n))
+    part = PartialSymmetricMatrix.from_full(g, b.T @ b)
+    tol = 1e-9
+    scale = 1.0 + part.max_abs()
+    omega = clique_number(g)
+    rep = complete_or_certify(g, part, tol)
+    assert rep.verdict == "completed"
+    assert rep.rank <= omega
+    if rank is not None:
+        assert rep.rank == rank
+    # Gram propagation at floor 0, and at half the smallest block eigenvalue
+    # when that is positive: the shifted part keeps rank <= omega.
+    _, _, lam, eig = _clique_block_scan(part.scatter(), g, False, tol)
+    for shift in [0.0] + [0.5 * lam] * (lam > tol * scale):
+        c = completion._propagate(g, eig, shift, tol)
+        assert completion_residual(part, c) <= 1e-12 * scale
+        assert psd_min_eig(c, tol) >= shift - tol * scale
+        assert numeric_rank(c - shift * np.eye(g.n), tol) <= omega
+
+
+def test_edge_case_patterns_mix_clique_sizes_in_one_level():
+    tree = clique_tree(EDGE_CASE_PATTERNS["mixed-level"])
+    levels = rooted_clique_order(tree)
+    assert len(levels) == 3
+    assert sorted(len(tree.cliques[t]) for t in levels[1]) == [2, 3]
+    forest = clique_tree(EDGE_CASE_PATTERNS["forest"])
+    assert () in forest.separators
 
 
 def test_complete_or_certify_hard_c4():
@@ -610,12 +656,15 @@ def test_batched_block_scan_matches_per_block_loop(strict):
         ok, clique, lam, eig = _clique_block_scan(a, h, strict, 1e-9)
         assert (ok, clique, lam) == loop_block_scan(h, part, strict)
         if not is_chordal(h)[0]:
-            assert eig == [None] * len(maximal_cliques(h))
+            assert eig == []
             continue
-        # Each block's eigenpairs rebuild it.
-        for K, (w, v) in zip(maximal_cliques(h), eig):
-            b = a[np.ix_(K, K)]
-            assert np.max(np.abs(v * w @ v.T - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
+        # One stack per clique size; each block's eigenpairs rebuild it.
+        cliques = maximal_cliques(h)
+        assert sorted(t for idx, _, _ in eig for t in idx) == list(range(len(cliques)))
+        for idx, ws, vs in eig:
+            for t, w, v in zip(idx, ws, vs):
+                b = a[np.ix_(cliques[t], cliques[t])]
+                assert np.max(np.abs(v * w @ v.T - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
     # Two violating cliques: the first in sorted order is reported, not the worst.
     assert _clique_block_scan(cases[0][1].scatter(), g, strict, 1e-9)[:2] == \
         (False, (0, 1))

@@ -165,16 +165,23 @@ def _check_running_intersection(g, tree):
     assert covered_vertices == set(range(g.n))
     for i, j in g.edges:
         assert any(i in c and j in c for c in (set(c) for c in tree.cliques))
-    # Root-first, as Gram propagation walks it: each clique meets the union of
-    # the earlier ones inside one earlier clique.
-    order = rooted_clique_order(tree)
+    # Root level first, as Gram propagation walks it: each clique meets the
+    # union of the earlier ones inside one clique of the level above, and two
+    # cliques of one level share only vertices of earlier levels.
+    levels = rooted_clique_order(tree)
+    assert len(levels[0]) == 1
+    order = [idx for level in levels for idx in level]
     assert sorted(order) == list(range(len(tree.cliques)))
     seen = set()
-    for t, idx in enumerate(order):
-        c = set(tree.cliques[idx])
-        if t:
-            assert any(c & seen <= set(tree.cliques[j]) for j in order[:t])
-        seen |= c
+    for d, level in enumerate(levels):
+        for idx in level:
+            c = set(tree.cliques[idx])
+            if d:
+                assert any(c & seen <= set(tree.cliques[j]) for j in levels[d - 1])
+        for i, j in combinations(level, 2):
+            assert set(tree.cliques[i]) & set(tree.cliques[j]) <= seen
+        for idx in level:
+            seen |= set(tree.cliques[idx])
 
 
 def _check_maximum_weight(tree):

@@ -153,6 +153,45 @@ def test_align_gram_empty():
     assert np.allclose(t, np.eye(4))
 
 
+def _rotated_stack(rng, g, s, r):
+    q = rng.standard_normal((g, s, r))
+    rot = np.linalg.qr(rng.standard_normal((g, r, r)))[0]
+    return q @ np.swapaxes(rot, 1, 2), q
+
+
+def test_align_gram_stack_matches_each_block():
+    rng = np.random.default_rng(41)
+    p, q = _rotated_stack(rng, 5, 6, 4)
+    t = align_gram(p, q)
+    assert t.shape == (5, 4, 4)
+    for k in range(5):
+        assert np.max(np.abs(t[k] - align_gram(p[k], q[k]))) <= 1e-12
+
+
+def test_align_gram_stack_names_the_worst_block():
+    rng = np.random.default_rng(42)
+    p, q = _rotated_stack(rng, 4, 3, 2)
+    p[1, 0] *= 1.5
+    p[2, 0] *= 1.01
+    with pytest.raises(GramMismatch, match="in block 1$"):
+        align_gram(p, q)
+
+
+def test_align_gram_stack_ignores_zero_padding_rows():
+    rng = np.random.default_rng(43)
+    p, q = _rotated_stack(rng, 3, 4, 3)
+    pad = np.zeros((3, 2, 3))
+    t = align_gram(np.concatenate([p, pad], axis=1), np.concatenate([q, pad], axis=1))
+    assert np.max(np.abs(t - align_gram(p, q))) <= 1e-12
+
+
+def test_align_gram_stack_of_rank_zero():
+    t = align_gram(np.zeros((3, 5, 0)), np.zeros((3, 5, 0)))
+    assert t.shape == (3, 0, 0)
+    t = align_gram(np.zeros((3, 0, 4)), np.zeros((3, 0, 4)))
+    assert np.allclose(t, np.eye(4))
+
+
 def test_feasibility_forced_completion():
     g = path_graph(3)
     part = PartialSymmetricMatrix(3, np.ones(3), {(0, 1): 1.0, (1, 2): 1.0})

@@ -1,11 +1,12 @@
 """PSD completion of graph-patterned partial matrices, with certificates of failure.
 
 A partial symmetric matrix specifies the diagonal and one value per edge of a
-pattern graph. A `Graph` analyses itself once, and each call decides in
-stages. A fully specified clique block that is not PSD refutes the data at
-once. Chordal patterns then complete constructively by Gram propagation,
-one clique-tree level per stacked alignment, with completion rank bounded
-by the clique number. On non-chordal patterns a
+pattern graph. A `Graph` analyses itself once, the data cache their slot
+arrays, and each call decides in stages. A fully specified clique block
+that is not PSD refutes the data at once. Chordal patterns then complete
+constructively by Gram propagation, one clique-tree level per stacked
+alignment, with completion rank bounded by the clique number. On
+non-chordal patterns a
 cycle extreme ray on a shortest chordless cycle is tried first, ranked over
 all layouts in closed form, and certifies infeasibility when it pairs
 negatively with the data; only data it does not refute goes to the
@@ -21,12 +22,16 @@ eigenvalue or, off chordal patterns, a lower floor. The block scan is the
 only place that decomposes a clique block: on chordal patterns one stacked
 eigh per clique size, whose eigenpairs give the verdict and, shifted by the
 floor, the Gram vectors; elsewhere a stacked eigvalsh. Both go through
-``linalg``.
+``linalg``. A completion's rank comes from the decomposition that built or
+accepted it, never from a second one: propagation's n x R basis B gives it
+through the R x R matrix B^T B, the search through the eigenvalues of the
+check that accepted its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,10 +42,11 @@ from .linalg import (
     DEFAULT_TOL,
     _block_eig,
     _gram_vectors,
-    affine_psd_feasibility,
+    _psd_search,
+    _rank_of,
+    _slot_matrix,
     align_gram,
     check_symmetric,
-    numeric_rank,
     psd_min_eig,
 )
 from .rays import ExtremeRayCertificate, cycle_extreme_ray, embed_certificate, pair
@@ -58,7 +64,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartialSymmetricMatrix:
-    """Diagonal plus one value per edge of a pattern graph; all entries finite."""
+    """Diagonal plus one value per edge of a pattern graph; all entries finite.
+
+    ``_slots`` caches the specified slots as read-only (i, j, value) arrays:
+    the diagonal, then the entries in sorted order. It is not a field, so
+    equality and repr do not see it.
+    """
 
     n: int
     diag: np.ndarray
@@ -67,7 +78,7 @@ class PartialSymmetricMatrix:
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise PatternMismatch(f"size n={self.n!r} is not an integer")
-        diag = np.asarray(self.diag, dtype=float).reshape(-1)
+        diag = np.array(self.diag, dtype=float).reshape(-1)
         if diag.shape != (self.n,):
             raise PatternMismatch(f"diagonal length {diag.shape[0]} != n={self.n}")
         if not np.all(np.isfinite(diag)):
@@ -87,6 +98,8 @@ class PartialSymmetricMatrix:
             if key in canon and canon[key] != a:
                 raise PatternMismatch(f"conflicting values for entry {key}")
             canon[key] = a
+        # A private read-only copy, so that the cached slots cannot go stale.
+        diag.flags.writeable = False
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "entries", canon)
 
@@ -103,26 +116,31 @@ class PartialSymmetricMatrix:
         """Require entry keys to coincide exactly with the pattern's edge set."""
         if self.n != g.n:
             raise PatternMismatch(f"partial matrix n={self.n} != pattern n={g.n}")
-        keys = set(self.entries)
-        if keys != g.edges:
+        if self.entries.keys() != g.edges:
+            keys = set(self.entries)
             extra = sorted(keys - g.edges)
             missing = sorted(g.edges - keys)
             raise PatternMismatch(
                 f"entries do not match pattern edges (extra={extra[:4]}, missing={missing[:4]})"
             )
 
+    @cached_property
+    def _slots(self) -> tuple:
+        keys = sorted(self.entries)
+        ij = np.array(keys, dtype=np.intp).reshape(-1, 2)
+        d = np.arange(self.n)
+        out = (np.concatenate([d, ij[:, 0]]), np.concatenate([d, ij[:, 1]]),
+               np.concatenate([self.diag, [self.entries[k] for k in keys]]))
+        for x in out:
+            x.flags.writeable = False
+        return out
+
     def scatter(self) -> np.ndarray:
-        """Dense symmetric matrix with unspecified slots set to zero."""
-        a = np.zeros((self.n, self.n))
-        np.fill_diagonal(a, self.diag)
-        for (i, j), v in self.entries.items():
-            a[i, j] = a[j, i] = v
-        return a
+        """Dense symmetric matrix with unspecified slots set to zero, new on each call."""
+        return _slot_matrix(self.n, *self._slots)
 
     def max_abs(self) -> float:
-        vals = [abs(float(v)) for v in self.entries.values()]
-        vals.append(float(np.max(np.abs(self.diag))) if self.n else 0.0)
-        return max(vals)
+        return float(np.max(np.abs(self._slots[2]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -160,10 +178,10 @@ class PDExistenceVerdict:
 def completion_residual(partial: PartialSymmetricMatrix, a) -> float:
     """Largest absolute deviation of a matrix from the specified data."""
     a = np.asarray(a, dtype=float)
-    dev = float(np.max(np.abs(np.diagonal(a) - partial.diag)))
-    for (i, j), v in partial.entries.items():
-        dev = max(dev, abs(float(a[i, j]) - v))
-    return dev
+    if a.shape != (partial.n, partial.n):
+        raise PatternMismatch(f"matrix shape {a.shape} != ({partial.n},{partial.n})")
+    i, j, v = partial._slots
+    return float(np.max(np.abs(a[i, j] - v), initial=0.0))
 
 
 def _clique_block_scan(a: np.ndarray, g: Graph, strict: bool, tol: float):
@@ -180,11 +198,7 @@ def _clique_block_scan(a: np.ndarray, g: Graph, strict: bool, tol: float):
     lam = np.empty(len(cliques))
     scale = np.empty(len(cliques))
     eig = []
-    by_size = {}
-    for t, K in enumerate(cliques):
-        by_size.setdefault(len(K), []).append(t)
-    for idx in by_size.values():
-        rows = np.array([cliques[t] for t in idx])
+    for idx, rows in g._cliques_by_size:
         blocks = a[rows[:, :, None], rows[:, None, :]]
         scale[idx] = 1.0 + np.max(np.abs(blocks), axis=(1, 2))
         if g.peo is None:
@@ -230,9 +244,10 @@ def chordal_complete(g: Graph, partial: PartialSymmetricMatrix,
     return rep.completion, rep.rank
 
 
-def _propagate(g: Graph, eig: list, shift: float, tol: float) -> np.ndarray:
+def _propagate(g: Graph, eig: list, shift: float, tol: float):
     """Completion with every eigenvalue >= shift on the chordal pattern g,
-    by Gram propagation from the clique blocks' stacked eigenpairs eig.
+    by Gram propagation from the clique blocks' stacked eigenpairs eig,
+    and the numeric rank of its Gram part.
 
     A block of A - shift*I has the eigenvalues w - shift and the same
     eigenvectors, so no block is decomposed again. Every block's Gram
@@ -245,12 +260,14 @@ def _propagate(g: Graph, eig: list, shift: float, tol: float) -> np.ndarray:
     that stays zero and counts as placed. Its placed rows of the basis, the
     rest being zero, are matched with its Gram vectors with the unplaced
     rows zeroed; the Gram matrices agree, so the alignment is exact, and the
-    rotated vectors of the unplaced vertices are written. shift*I is added
-    back, except at 0, where it would turn -0.0 into 0.0.
+    rotated vectors of the unplaced vertices are written. The completion
+    less shift*I is B B^T for the n x R basis B; numeric_rank's rule reads
+    its rank off the R x R matrix B^T B, which has the same nonzero
+    eigenvalues. shift*I is added back, except at 0, where it would turn
+    -0.0 into 0.0. Returns (completion, rank).
     """
-    cliques = g.cliques
-    omega = max(len(K) for K in cliques)
-    grams = np.zeros((len(cliques), omega, omega))
+    omega = max(w.shape[1] for _, w, _ in eig)
+    grams = np.zeros((len(g.cliques), omega, omega))
     for idx, w, v in eig:
         size = w.shape[1]
         grams[idx, :size, :size] = _gram_vectors(w - shift, v, tol)
@@ -260,26 +277,27 @@ def _propagate(g: Graph, eig: list, shift: float, tol: float) -> np.ndarray:
     placed = np.zeros(g.n + 1, dtype=bool)
     placed[g.n] = True
     for level, rows in g._clique_levels:
-        rows = np.array(rows)
         sep = placed[rows]
         q = grams[level, :rows.shape[1]]
         rot = align_gram(basis[rows], q * sep[:, :, None], tol)
         basis[rows[~sep]] = (q @ np.swapaxes(rot, 1, 2))[~sep]
         placed[rows] = True
     basis = basis[:-1]
+    rank = _rank_of(_block_eig(basis.T @ basis, vectors=False), tol)
     c = basis @ basis.T
     c = 0.5 * (c + c.T)
-    return c + shift * np.eye(g.n) if shift else c
+    return (c + shift * np.eye(g.n) if shift else c), rank
 
 
 def _complete(g: Graph, partial: PartialSymmetricMatrix, eig: list, shift: float,
               tol: float, max_iter: int):
-    """A completion with every eigenvalue >= shift, or None: Gram propagation
-    from the scan's eig on chordal patterns, the search at that floor elsewhere.
+    """A completion with every eigenvalue >= shift and, at shift 0, its
+    numeric rank, or (None, None): Gram propagation from the scan's eig on
+    chordal patterns, the search at that floor elsewhere. The rank comes
+    from the decomposition that built or accepted the completion.
     """
     if g.peo is None:
-        return affine_psd_feasibility(g, partial, shift=shift, max_iter=max_iter,
-                                      tol=tol)
+        return _psd_search(g, partial, shift=shift, max_iter=max_iter, tol=tol)
     return _propagate(g, eig, shift, tol)
 
 
@@ -351,10 +369,10 @@ def complete_or_certify(g: Graph, partial: PartialSymmetricMatrix,
         if cert is not None:
             return CompletionReport(verdict="infeasible", certificate=cert,
                                     separating_value=val)
-    c = _complete(g, partial, eig, 0.0, tol, max_iter)
+    c, rank = _complete(g, partial, eig, 0.0, tol, max_iter)
     if c is None:
         return CompletionReport(verdict="undetermined")
-    return CompletionReport(verdict="completed", completion=c, rank=numeric_rank(c, tol))
+    return CompletionReport(verdict="completed", completion=c, rank=rank)
 
 
 def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
@@ -385,7 +403,7 @@ def pd_completion_exists(g: Graph, partial: PartialSymmetricMatrix,
     s = 0.5 * lam
     if g.peo is None:
         s = min(s, 2.0 * (10 * tol) * (1.0 + partial.max_abs()))
-    witness = _complete(g, partial, eig, s, tol, max_iter)
+    witness, _ = _complete(g, partial, eig, s, tol, max_iter)
     if witness is not None and psd_min_eig(witness, tol) > 0.0:
         return PDExistenceVerdict(answer="yes", witness=witness)
     return PDExistenceVerdict(answer="undetermined")

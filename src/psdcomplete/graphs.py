@@ -14,6 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import InputError, InvalidCycleLength, NotChordal
 
 __all__ = [
@@ -66,6 +68,9 @@ class Graph:
     - ``cliques``: the maximal cliques as sorted tuples, in sorted order;
       read off the search when chordal, Bron-Kerbosch otherwise.
     - ``clique_tree``: the ``CliqueTree``, None when not chordal.
+    - ``_cliques_by_size`` and ``_clique_levels``: the cliques as read-only
+      index arrays, grouped for the completion module's clique-block scan
+      and Gram propagation.
     - ``shortest_cycles``: the first 64 shortest chordless cycles
       (``InducedCycle``) in canonical order, empty when chordal; the ``peo``
       proves that at once, so a chordal graph never runs the cycle search.
@@ -146,6 +151,16 @@ class Graph:
         return CliqueTree(cliques, tuple(tree_edges), tuple(separators))
 
     @cached_property
+    def _cliques_by_size(self) -> tuple:
+        # Per clique size, in order of first appearance: the clique indices
+        # and the cliques' vertices, one row each.
+        by_size = {}
+        for t, K in enumerate(self.cliques):
+            by_size.setdefault(len(K), []).append(t)
+        return tuple((_frozen(idx), _frozen([self.cliques[t] for t in idx]))
+                     for idx in by_size.values())
+
+    @cached_property
     def _clique_levels(self) -> tuple:
         # Per level of rooted_clique_order: its clique indices, and each
         # clique's vertices padded with n to the level's largest clique.
@@ -153,8 +168,8 @@ class Graph:
         out = []
         for level in rooted_clique_order(self.clique_tree):
             width = max(len(cliques[t]) for t in level)
-            out.append((level, [cliques[t] + (self.n,) * (width - len(cliques[t]))
-                                for t in level]))
+            rows = [cliques[t] + (self.n,) * (width - len(cliques[t])) for t in level]
+            out.append((_frozen(level), _frozen(rows)))
         return tuple(out)
 
     @cached_property
@@ -167,6 +182,13 @@ class Graph:
     @cached_property
     def shortest_cycle(self):
         return self.shortest_cycles[0] if self.shortest_cycles else None
+
+
+def _frozen(rows) -> np.ndarray:
+    """rows as a read-only integer array, safe to share between calls."""
+    a = np.array(rows, dtype=np.intp)
+    a.flags.writeable = False
+    return a
 
 
 def cycle_graph(m: int) -> Graph:

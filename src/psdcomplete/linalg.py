@@ -62,8 +62,11 @@ def psd_min_eig(a, tol: float = DEFAULT_TOL) -> float:
 
 def numeric_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues with ``|w| > tol * max(1, |w|_max)``."""
-    a = check_symmetric(a, tol)
-    w = np.linalg.eigvalsh(a)
+    return _rank_of(np.linalg.eigvalsh(check_symmetric(a, tol)), tol)
+
+
+def _rank_of(w, tol: float) -> int:
+    """numeric_rank's rule on eigenvalues w: the count with ``|w| > tol * max(1, |w|_max)``."""
     lam = float(np.max(np.abs(w))) if w.size else 0.0
     return int(np.sum(np.abs(w) > tol * max(1.0, lam)))
 
@@ -101,8 +104,8 @@ def _gram_vectors(w, v, tol: float) -> np.ndarray:
 
 
 def _block_eig(blocks, vectors: bool):
-    """Ascending eigenvalues of a stack of symmetric blocks, with the
-    eigenvectors when vectors is true: one stacked eigh or eigvalsh."""
+    """Ascending eigenvalues of a symmetric block or a stack of them, with
+    the eigenvectors when vectors is true: one eigh or eigvalsh."""
     return np.linalg.eigh(blocks) if vectors else np.linalg.eigvalsh(blocks)
 
 
@@ -167,27 +170,36 @@ def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000
     completion exists. None after max_iter steps or a failed final check is
     NOT an infeasibility certificate.
     """
+    return _psd_search(g, partial, shift=shift, max_iter=max_iter, tol=tol)[0]
+
+
+def _psd_search(g, partial, shift: float, max_iter: int, tol: float):
+    """affine_psd_feasibility's witness and its numeric rank, or (None, None).
+
+    The witness is exactly symmetric, so the rank read off the eigenvalues
+    of the check that accepted it equals numeric_rank of the witness.
+    """
     partial.validate_against(g)
     n = g.n
     eps = 10 * tol
     scale = 1.0 + partial.max_abs()
     a = partial.scatter()
-    if np.linalg.eigvalsh(a)[0] >= shift - eps * scale:
-        return a
-    # One slot per diagonal entry and per edge (i < j). An edge slot stands
-    # for two symmetric entries, hence its weight 2 in inner products.
-    edges = np.array(g.sorted_edges(), dtype=int).reshape(-1, 2)
-    i = np.concatenate([np.arange(n), edges[:, 0]])
-    j = np.concatenate([np.arange(n), edges[:, 1]])
+    ev = np.linalg.eigvalsh(a)
+    if ev[0] >= shift - eps * scale:
+        return a, _rank_of(ev, tol)
+    # One slot per diagonal entry and per edge (i < j), the edges in sorted
+    # order. An edge slot stands for two symmetric entries, hence its weight
+    # 2 in inner products.
+    i, j, v = partial._slots
     w = np.where(i == j, 1.0, 2.0)
-    target = a[i, j] - np.where(i == j, shift, 0.0)
+    target = v - np.where(i == j, shift, 0.0)
     stop = 0.1 * eps * scale
 
     y = np.where(i == j, 1.0 / np.maximum(target, eps * scale), 0.0)
     s, low, f = _dual_point(n, i, j, w, target, y)
     for _ in range(max_iter):
         if (w * y) @ target < -eps * scale * np.trace(s):
-            return None
+            return None, None
         inv = np.linalg.inv(low)
         x = inv.T @ inv
         r = target - x[i, j]
@@ -214,12 +226,13 @@ def affine_psd_feasibility(g, partial, shift: float = 0.0, max_iter: int = 10000
         y = y + t * step
         s, low, f = cand
     else:
-        return None
+        return None, None
     x = 0.5 * (x + x.T) + shift * np.eye(n)
-    x[i, j] = x[j, i] = a[i, j]
-    if np.linalg.eigvalsh(x)[0] >= shift - eps * scale:
-        return x
-    return None
+    x[i, j] = x[j, i] = v
+    ev = np.linalg.eigvalsh(x)
+    if ev[0] >= shift - eps * scale:
+        return x, _rank_of(ev, tol)
+    return None, None
 
 
 def _slot_matrix(n, i, j, v) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 import json
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from psdcomplete import (
+    Graph,
+    PartialSymmetricMatrix,
     canonical_dumps,
     chordal_complete,
     clique_number,
@@ -134,6 +137,41 @@ def test_chordal_propagation_makes_one_svd_per_level(monkeypatch):
         assert 0 < len(svds) <= levels
 
 
+@pytest.fixture
+def decompositions(monkeypatch):
+    """(name, operand shape) of every eigh, eigvalsh and svd, in call order."""
+    seen = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+def test_chordal_completion_decomposes_nothing_larger_than_a_clique(decompositions):
+    rng = np.random.default_rng(5)
+    g = random_chordal(rng, 30)
+    omega = clique_number(g)
+    assert omega < g.n
+    for r in (0, 1, 3, g.n):
+        decompositions.clear()
+        rep = complete_or_certify(g, random_psd_partial(rng, g, rank=r))
+        assert rep.verdict == "completed"
+        assert decompositions
+        assert all(max(shape[-2:]) <= omega for _, shape in decompositions)
+
+
+def test_zero_fill_completion_is_decomposed_once(decompositions):
+    g = petersen()
+    part = PartialSymmetricMatrix(g.n, np.full(g.n, 4.0), {e: 1.0 for e in g.edges})
+    rep = complete_or_certify(g, part)
+    assert rep.verdict == "completed"
+    assert np.array_equal(rep.completion, part.scatter())
+    full = [(name, shape) for name, shape in decompositions if shape[-2:] == (g.n, g.n)]
+    assert full == [("eigvalsh", (g.n, g.n))]
+
+
 def test_analyze_graph_analyses_once(calls, capsys, tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(canonical_dumps(dump_graph(petersen())))
@@ -154,10 +192,27 @@ def test_returned_lists_do_not_alias_the_cache():
 
 
 def test_analysed_graph_equals_and_hashes_like_a_fresh_one():
-    g = petersen()
-    _query_all(g)
-    fresh = petersen()
-    assert g == fresh
-    assert hash(g) == hash(fresh)
-    assert repr(g) == repr(fresh)
-    assert {fresh: "pattern"}[g] == "pattern"
+    rng = np.random.default_rng(5)
+    chordal = random_chordal(rng, 12)
+    data = {petersen().n: hard_cycle_instance(petersen()),
+            chordal.n: random_psd_partial(rng, chordal)}
+    for make in (petersen, lambda: Graph.from_edges(chordal.n, chordal.edges)):
+        g = make()
+        _query_all(g)
+        part = data[g.n]
+        complete_or_certify(g, part)
+        pd_completion_exists(g, part)
+        fresh = make()
+        assert g == fresh
+        assert hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh)
+        assert {fresh: "pattern"}[g] == "pattern"
+        # The data's cached slots are not a field either.
+        same = PartialSymmetricMatrix(part.n, part.diag, part.entries)
+        assert "_slots" in vars(part) and "_slots" not in vars(same)
+        assert repr(part) == repr(same)
+    assert [f.name for f in fields(PartialSymmetricMatrix)] == ["n", "diag", "entries"]
+    # == compares the diagonals as arrays, which bool() accepts at size 1.
+    part, same = (PartialSymmetricMatrix(1, [2.0], {}) for _ in range(2))
+    assert part.scatter()[0, 0] == part.max_abs() == 2.0
+    assert "_slots" in vars(part) and part == same

@@ -72,6 +72,116 @@ def test_partial_matrix_validation():
         extra.validate_against(g)
 
 
+def loop_scatter(part):
+    """Reference: the data scattered entry by entry."""
+    a = np.zeros((part.n, part.n))
+    np.fill_diagonal(a, part.diag)
+    for (i, j), v in part.entries.items():
+        a[i, j] = a[j, i] = v
+    return a
+
+
+def loop_residual(part, a):
+    """Reference: the largest deviation from the data, entry by entry."""
+    dev = float(np.max(np.abs(np.diagonal(a) - part.diag)))
+    for (i, j), v in part.entries.items():
+        dev = max(dev, abs(float(a[i, j]) - v))
+    return dev
+
+
+def test_cached_slots_match_entry_loops():
+    rng = np.random.default_rng(83)
+    cases = [PartialSymmetricMatrix(1, [-2.5], {}), c4_patterns()[2]]
+    for _ in range(20):
+        g = random_graph(rng, int(rng.integers(2, 9)), 0.5)
+        # Entries in random key order and orientation; the slots sort them.
+        edges = [g.sorted_edges()[t] for t in rng.permutation(len(g.edges))]
+        entries = {(e[::-1] if rng.random() < 0.5 else e): float(rng.normal())
+                   for e in edges}
+        cases.append(PartialSymmetricMatrix(g.n, rng.normal(size=g.n), entries))
+    for part in cases:
+        a = part.scatter()
+        assert np.array_equal(a, loop_scatter(part))
+        assert np.array_equal(a, a.T)
+        want = max([abs(v) for v in part.entries.values()] + [float(np.max(np.abs(part.diag)))])
+        assert part.max_abs() == want
+        other = a + rng.normal(size=a.shape) * 1e-3
+        assert completion_residual(part, other) == loop_residual(part, other)
+        assert completion_residual(part, a) == 0.0
+        # The scattered matrix is new on every call; the cached slots are read-only.
+        a[0, 0] = 99.0
+        assert np.array_equal(part.scatter(), loop_scatter(part))
+        for x in part._slots:
+            with pytest.raises(ValueError):
+                x[0] = 1
+    with pytest.raises(PatternMismatch):
+        completion_residual(cases[1], np.eye(5))
+    # The diagonal is a read-only copy: neither the caller's array nor the
+    # data's own can change the data after its slots were cached.
+    d = np.ones(3)
+    part = PartialSymmetricMatrix(3, d, {(0, 1): 0.5})
+    want = part.scatter()
+    d[0] = 5.0
+    with pytest.raises(ValueError):
+        part.diag[1] = 5.0
+    assert np.array_equal(part.scatter(), want)
+
+
+def test_mutated_completion_leaves_the_next_call_unchanged():
+    rng = np.random.default_rng(89)
+    g, zeros, _ = c4_patterns()
+    k = random_chordal(rng, 10)
+    for h, part in ((g, zeros), (k, random_psd_partial(rng, k, rank=2))):
+        first = complete_or_certify(h, part)
+        want = first.completion.copy()
+        first.completion[...] = 7.0
+        again = complete_or_certify(h, part)
+        assert np.array_equal(again.completion, want)
+        assert again.rank == first.rank
+
+
+def search_path(g, part, tol):
+    """Which check the search ends on: the zero fill's, or after Newton."""
+    scale = 1.0 + part.max_abs()
+    zero_fill = np.linalg.eigvalsh(part.scatter())[0] >= -10 * tol * scale
+    return "zero-fill" if zero_fill else "newton"
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_reported_rank_is_numeric_rank_of_the_completion(tol):
+    rng = np.random.default_rng(97)
+    cases = []
+    for _ in range(12):
+        g = random_chordal(rng, int(rng.integers(2, 16)))
+        for r in sorted({0, 1, g.n // 2, g.n}):
+            cases.append((g, random_psd_partial(rng, g, rank=r)))
+    for g in EDGE_CASE_PATTERNS.values():
+        for r in sorted({0, 1, g.n}):
+            cases.append((g, random_psd_partial(rng, g, rank=r)))
+    chordal = len(cases)
+    while len(cases) < chordal + 16:
+        g = random_graph(rng, int(rng.integers(4, 9)), 0.5)
+        if is_chordal(g)[0]:
+            continue
+        # Diagonally dominant data passes the zero-fill check as it stands;
+        # rank-2 Gram data has only singular completions, found by Newton.
+        dominant = PartialSymmetricMatrix(
+            g.n, g.n + rng.uniform(0.0, 1.0, g.n), {e: rng.uniform(-1, 1) for e in g.edges})
+        cases += [(g, dominant), (g, random_psd_partial(rng, g, rank=2))]
+    paths = Counter()
+    for t, (g, part) in enumerate(cases):
+        rep = complete_or_certify(g, part, tol)
+        assert rep.verdict in ("completed", "undetermined")
+        if t < chordal:
+            assert rep.verdict == "completed"
+        else:
+            paths[search_path(g, part, tol), rep.verdict] += 1
+        if rep.verdict == "completed":
+            assert rep.rank == numeric_rank(rep.completion, tol)
+    assert paths["zero-fill", "completed"] == 8
+    assert paths["newton", "completed"] >= 5
+
+
 def test_partially_positive_examples():
     g = cycle_graph(4)
     hard = hard_cycle_instance(g)
@@ -169,10 +279,13 @@ def test_gram_propagation_edge_cases(name, rank):
     # when that is positive: the shifted part keeps rank <= omega.
     _, _, lam, eig = _clique_block_scan(part.scatter(), g, False, tol)
     for shift in [0.0] + [0.5 * lam] * (lam > tol * scale):
-        c = completion._propagate(g, eig, shift, tol)
+        c, r = completion._propagate(g, eig, shift, tol)
         assert completion_residual(part, c) <= 1e-12 * scale
         assert psd_min_eig(c, tol) >= shift - tol * scale
         assert numeric_rank(c - shift * np.eye(g.n), tol) <= omega
+        assert r <= omega
+        if not shift:
+            assert r == rep.rank == numeric_rank(c, tol)
 
 
 def test_edge_case_patterns_mix_clique_sizes_in_one_level():
@@ -271,12 +384,12 @@ def test_petersen_hard_instance_certified():
 def searches(monkeypatch):
     """The eigenvalue floor of each feasibility search, in call order."""
     shifts = []
-    search = completion.affine_psd_feasibility
+    search = completion._psd_search
 
     def counted(*args, **kwargs):
         shifts.append(kwargs["shift"])
         return search(*args, **kwargs)
-    monkeypatch.setattr(completion, "affine_psd_feasibility", counted)
+    monkeypatch.setattr(completion, "_psd_search", counted)
     return shifts
 
 
@@ -568,7 +681,7 @@ def test_refutable_data_is_certified_without_the_search(monkeypatch, make):
     def no_search(*args, **kwargs):
         raise AssertionError("the feasibility search ran on refutable data")
 
-    monkeypatch.setattr(completion, "affine_psd_feasibility", no_search)
+    monkeypatch.setattr(completion, "_psd_search", no_search)
     g = make()
     part = hard_cycle_instance(g)
     rep = complete_or_certify(g, part)

@@ -26,7 +26,6 @@ from .errors import (
     IndexUndefined,
     InputError,
     InvalidCycleLength,
-    InvalidDegree,
     NotChordal,
     NotEnoughPoints,
     NotPartiallyPositive,
@@ -65,11 +64,9 @@ from .moments import (
     boundary_lattice_points,
     moment_basis,
     moment_representable,
-    park_n2p_bound,
     point_evaluation_vector,
     toric_gl_index,
     toric_hankel_lower_bound,
-    veronese_p2_indices,
 )
 from .rays import (
     ExtremeRayCertificate,
@@ -88,7 +85,6 @@ from .serialize import (
     load_certificate,
     load_graph,
     load_json_file,
-    load_matrix,
     load_moment_operator,
     load_partial,
     load_polygon,

@@ -21,7 +21,7 @@ import math
 import sys
 
 from . import completion, graphs, moments, rays, serialize
-from .errors import GramMismatch, InputError, PsdCompleteError
+from .errors import GramMismatch, IndexUndefined, InputError, PsdCompleteError
 from .linalg import DEFAULT_TOL, numeric_rank, psd_min_eig
 
 
@@ -124,12 +124,14 @@ def _run_extreme_ray(args, tol: float):
 def _run_toric(args, tol: float):
     poly = serialize.load_polygon(serialize.load_json_file(args.polygon),
                                   location=args.polygon)
-    b = moments.boundary_lattice_points(poly)
-    return {
-        "boundary_lattice_points": b,
-        "gl_index": b - 3 if b >= 4 else None,
-        "hankel_lower_bound": b - 2 if b >= 4 else None,
-    }, False
+    report = {"boundary_lattice_points": moments.boundary_lattice_points(poly)}
+    for key, index in (("gl_index", moments.toric_gl_index),
+                       ("hankel_lower_bound", moments.toric_hankel_lower_bound)):
+        try:
+            report[key] = index(poly)
+        except IndexUndefined:
+            report[key] = None
+    return report, False
 
 
 def _run_moment_check(args, tol: float):

@@ -6,12 +6,13 @@ arrays, and each call decides in stages. A fully specified clique block
 that is not PSD refutes the data at once. Chordal patterns then complete
 constructively by Gram propagation, one clique-tree level per stacked
 alignment, with completion rank bounded by the clique number. On
-non-chordal patterns a
-cycle extreme ray on a shortest chordless cycle is tried first, ranked over
-all layouts in closed form, and certifies infeasibility when it pairs
-negatively with the data; only data it does not refute goes to the
-feasibility search. That search (``linalg.affine_psd_feasibility``) returns
-the zero-filled data when it already meets the floor, and otherwise runs
+non-chordal patterns a cycle extreme ray on a shortest chordless cycle is
+tried first, ranked over all layouts in closed form, and certifies
+infeasibility when it pairs negatively with the data; only data it does not
+refute goes to the feasibility search. Both entry points call
+``linalg._psd_search`` directly, for the witness and its rank at once, not
+its public face ``linalg.affine_psd_feasibility``. The search returns the
+zero-filled data when it already meets the floor, and otherwise runs
 Newton's method on the max-det dual, which stops at a completion or at a
 pattern-supported PSD matrix pairing negatively with the data. Both entry
 points reach a completion through one step that asks for every eigenvalue
@@ -62,13 +63,13 @@ __all__ = [
     "pd_completion_exists",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialSymmetricMatrix:
     """Diagonal plus one value per edge of a pattern graph; all entries finite.
 
     ``_slots`` caches the specified slots as read-only (i, j, value) arrays:
     the diagonal, then the entries in sorted order. It is not a field, so
-    equality and repr do not see it.
+    repr does not see it.
     """
 
     n: int
@@ -143,7 +144,7 @@ class PartialSymmetricMatrix:
         return float(np.max(np.abs(self._slots[2]), initial=0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompletionReport:
     """Outcome of complete_or_certify.
 
@@ -161,7 +162,7 @@ class CompletionReport:
     violating_clique: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PDExistenceVerdict:
     """Outcome of pd_completion_exists: answer "yes", "no" or "undetermined".
 

@@ -66,7 +66,3 @@ class DegeneratePolygon(PsdCompleteError):
 
 class IndexUndefined(PsdCompleteError):
     """Index formula undefined: too few boundary lattice points."""
-
-
-class InvalidDegree(PsdCompleteError):
-    """Veronese constructions require degree >= 2."""

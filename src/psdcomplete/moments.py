@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import DegeneratePolygon, IndexUndefined, InputError, InvalidDegree
+from .errors import DegeneratePolygon, IndexUndefined, InputError
 from .linalg import DEFAULT_TOL, check_symmetric, numeric_rank, psd_min_eig
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "boundary_lattice_points",
     "toric_gl_index",
     "toric_hankel_lower_bound",
-    "veronese_p2_indices",
-    "park_n2p_bound",
     "moment_basis",
     "point_evaluation_vector",
     "moment_representable",
@@ -95,31 +93,6 @@ def toric_hankel_lower_bound(p: LatticePolygon) -> int:
     return b - 2
 
 
-def veronese_p2_indices(d: int):
-    """(index, bound) pair (3d - 3, 3d - 2) for the degree-d plane embedding."""
-    if not isinstance(d, int) or d < 2:
-        raise InvalidDegree(f"degree must be an integer >= 2, got {d!r}")
-    return 3 * d - 3, 3 * d - 2
-
-
-def park_n2p_bound(m: int, k: int):
-    """Largest p such that property N_{2,p} holds for the quadrics cutting out
-    a rational normal scroll-type variety of codimension m at step k.
-
-    Returns ``k`` when k >= m - 1, ``2k - m + 1`` when m/2 <= k <= m - 2,
-    and None when the regime gives no positive bound.
-    """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    if k >= m - 1:
-        return k
-    if 2 * k >= m and k <= m - 2:
-        return 2 * k - m + 1
-    return None
-
-
 def moment_basis(num_vars: int, degree: int) -> list:
     """Exponent tuples of total degree ``degree`` in graded lex order.
 
@@ -149,18 +122,17 @@ def point_evaluation_vector(point, degree: int) -> np.ndarray:
     return np.array([np.prod(pt ** np.array(exp)) for exp in basis])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentOperator:
-    """Symmetric matrix indexed by the degree-k monomials in num_vars variables."""
+    """Symmetric matrix indexed by the degree-k monomials in num_vars variables, in
+    the graded lex order of ``moment_basis``.
+    """
 
     matrix: np.ndarray
     num_vars: int
     degree: int
-    basis: str = "grlex"
 
     def __post_init__(self):
-        if self.basis != "grlex":
-            raise InputError(f"unsupported basis {self.basis!r}", code="schema")
         if self.num_vars < 1 or self.degree < 1:
             raise InputError("num_vars and degree must be positive", code="value")
         mat = check_symmetric(self.matrix)

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremeRayCertificate:
     """Rank-k PSD matrix tau with the data that produced it.
 

@@ -18,7 +18,6 @@ import numpy as np
 from .completion import PartialSymmetricMatrix
 from .errors import InputError, PsdCompleteError
 from .graphs import Graph
-from .linalg import check_symmetric
 from .moments import LatticePolygon, MomentOperator
 from .rays import ExtremeRayCertificate
 
@@ -27,7 +26,6 @@ __all__ = [
     "canonical_dumps",
     "load_graph",
     "dump_graph",
-    "load_matrix",
     "dump_matrix",
     "load_partial",
     "dump_partial",
@@ -149,15 +147,6 @@ def dump_graph(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
-def load_matrix(obj, location="matrix") -> np.ndarray:
-    n = _int_value(_require(obj, "n", location), "n", location)
-    rows = _float_rows(_require(obj, "rows", location), "rows", location)
-    if rows.shape != (n, n):
-        raise InputError(f"rows shape {rows.shape} != ({n},{n})", location=location,
-                         code="value")
-    return _build(check_symmetric, location, rows)
-
-
 def dump_matrix(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=float)
     return {"n": int(a.shape[0]), "rows": a.tolist()}
@@ -244,5 +233,4 @@ def load_moment_operator(obj, location="moment") -> MomentOperator:
         raise InputError(f"basis must be \"grlex\", got {basis!r}", location=location,
                          code="schema")
     rows = _float_rows(_require(obj, "rows", location), "rows", location)
-    return _build(MomentOperator, location, matrix=rows, num_vars=num_vars, degree=degree,
-                  basis=basis)
+    return _build(MomentOperator, location, matrix=rows, num_vars=num_vars, degree=degree)

@@ -43,8 +43,9 @@ from psdcomplete import (
     point_evaluation_vector,
     psd_min_eig,
     LatticePolygon,
+    toric_gl_index,
+    toric_hankel_lower_bound,
     verify_certificate,
-    veronese_p2_indices,
 )
 
 from helpers import (
@@ -238,10 +239,12 @@ def test_criterion_7_toric_and_moment_formulas(capsys):
                 rect = LatticePolygon(((0, 0), (a, 0), (a, b), (0, b)))
                 assert boundary_lattice_points(rect) == 2 * a + 2 * b
         for d in range(2, 6):
-            assert veronese_p2_indices(d) == (3 * d - 3, 3 * d - 2)
+            tri = LatticePolygon(((0, 0), (d, 0), (0, d)))
+            assert toric_gl_index(tri) == 3 * d - 3
+            assert toric_hankel_lower_bound(tri) == 3 * d - 2
 
         rng = np.random.default_rng(77)
-        bound = veronese_p2_indices(2)[1]
+        bound = toric_hankel_lower_bound(LatticePolygon(((0, 0), (2, 0), (0, 2))))
         assert bound == 4
         for _ in range(100):
             atoms = int(rng.integers(1, bound))

@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 
 from psdcomplete import (
+    CompletionReport,
+    ExtremeRayCertificate,
     Graph,
+    MomentOperator,
     PartialSymmetricMatrix,
+    PDExistenceVerdict,
     canonical_dumps,
     chordal_complete,
     clique_number,
     clique_tree,
     complete_or_certify,
+    cycle_extreme_ray,
     cycle_graph,
     dump_graph,
     green_lazarsfeld_index,
@@ -212,7 +217,30 @@ def test_analysed_graph_equals_and_hashes_like_a_fresh_one():
         assert "_slots" in vars(part) and "_slots" not in vars(same)
         assert repr(part) == repr(same)
     assert [f.name for f in fields(PartialSymmetricMatrix)] == ["n", "diag", "entries"]
-    # == compares the diagonals as arrays, which bool() accepts at size 1.
+    # The data compare by identity; their fields agree with a fresh copy's.
     part, same = (PartialSymmetricMatrix(1, [2.0], {}) for _ in range(2))
     assert part.scatter()[0, 0] == part.max_abs() == 2.0
-    assert "_slots" in vars(part) and part == same
+    assert "_slots" in vars(part) and part != same
+    assert (part.n, part.entries) == (same.n, same.entries)
+    assert np.array_equal(part.diag, same.diag)
+
+
+def test_array_holding_types_compare_and_hash_by_identity():
+    rng = np.random.default_rng(9)
+    g = random_chordal(rng, 8)
+    data = random_psd_partial(rng, g)
+    makers = {
+        PartialSymmetricMatrix: lambda: PartialSymmetricMatrix(data.n, data.diag, data.entries),
+        CompletionReport: lambda: complete_or_certify(g, data),
+        PDExistenceVerdict: lambda: pd_completion_exists(g, data),
+        ExtremeRayCertificate: lambda: cycle_extreme_ray(5),
+        MomentOperator: lambda: MomentOperator(np.eye(6), 3, 2),
+    }
+    for cls, make in makers.items():
+        a, b = make(), make()
+        assert type(a) is cls and type(b) is cls
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        table = {a: "a", b: "b"}
+        assert len(table) == 2 and table[a] == "a" and table[b] == "b"

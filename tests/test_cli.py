@@ -10,6 +10,8 @@ import pytest
 
 import psdcomplete
 from psdcomplete import (
+    LatticePolygon,
+    boundary_lattice_points,
     canonical_dumps,
     cycle_extreme_ray,
     cycle_graph,
@@ -17,6 +19,8 @@ from psdcomplete import (
     dump_graph,
     dump_partial,
     load_certificate,
+    toric_gl_index,
+    toric_hankel_lower_bound,
     verify_certificate,
 )
 from psdcomplete import completion
@@ -123,21 +127,23 @@ def test_extreme_ray_matches_library(capsys):
 
 
 def test_toric(capsys, tmp_path):
-    poly = write_json(tmp_path / "poly.json",
-                      {"vertices": [[0, 0], [2, 0], [0, 2]]})
-    code, report, _ = run(capsys, ["toric", "--polygon", poly])
-    assert code == 0
-    assert report["boundary_lattice_points"] == 6
-    assert report["gl_index"] == 3
-    assert report["hankel_lower_bound"] == 4
-
-    tiny = write_json(tmp_path / "tiny.json",
-                      {"vertices": [[0, 0], [1, 0], [0, 1]]})
-    code, report, _ = run(capsys, ["toric", "--polygon", tiny])
-    assert code == 0
-    assert report["boundary_lattice_points"] == 3
-    assert report["gl_index"] is None
-    assert report["hankel_lower_bound"] is None
+    polygons = [LatticePolygon(((0, 0), (d, 0), (0, d))) for d in range(1, 6)]
+    polygons.append(LatticePolygon(((0, 0), (2, 0), (2, 3), (0, 3))))
+    for k, poly in enumerate(polygons):
+        path = write_json(tmp_path / f"poly{k}.json",
+                          {"vertices": [list(v) for v in poly.vertices]})
+        code, report, _ = run(capsys, ["toric", "--polygon", path])
+        assert code == 0
+        b = boundary_lattice_points(poly)
+        assert report["boundary_lattice_points"] == b
+        if b < 4:
+            assert report["gl_index"] is None
+            assert report["hankel_lower_bound"] is None
+        else:
+            assert report["gl_index"] == toric_gl_index(poly)
+            assert report["hankel_lower_bound"] == toric_hankel_lower_bound(poly)
+    # dΔ₂ has 3d boundary points; the 2 x 3 rectangle has 10.
+    assert [boundary_lattice_points(p) for p in polygons] == [3, 6, 9, 12, 15, 10]
 
 
 def moment_files(tmp_path, matrix):

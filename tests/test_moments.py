@@ -7,18 +7,15 @@ from psdcomplete import (
     DegeneratePolygon,
     IndexUndefined,
     InputError,
-    InvalidDegree,
     LatticePolygon,
     MomentOperator,
     NotSymmetric,
     boundary_lattice_points,
     moment_basis,
     moment_representable,
-    park_n2p_bound,
     point_evaluation_vector,
     toric_gl_index,
     toric_hankel_lower_bound,
-    veronese_p2_indices,
 )
 
 
@@ -149,7 +146,6 @@ def test_toric_indices():
         p = dilated_triangle(d)
         assert toric_gl_index(p) == 3 * d - 3
         assert toric_hankel_lower_bound(p) == 3 * d - 2
-        assert (toric_gl_index(p), toric_hankel_lower_bound(p)) == veronese_p2_indices(d)
     assert toric_gl_index(rectangle(2, 3)) == 7
     assert toric_hankel_lower_bound(rectangle(2, 3)) == 8
     unit = dilated_triangle(1)
@@ -157,56 +153,6 @@ def test_toric_indices():
         toric_gl_index(unit)
     with pytest.raises(IndexUndefined):
         toric_hankel_lower_bound(unit)
-
-
-def test_veronese_values():
-    assert veronese_p2_indices(2) == (3, 4)
-    assert veronese_p2_indices(3) == (6, 7)
-    assert veronese_p2_indices(5) == (12, 13)
-    with pytest.raises(InvalidDegree):
-        veronese_p2_indices(1)
-    with pytest.raises(InvalidDegree):
-        veronese_p2_indices(2.0)
-
-
-def test_park_bound_frozen_table():
-    expected = {
-        (2, 1): 1,
-        (3, 2): 2,
-        (5, 7): 7,
-        (5, 4): 4,
-        (4, 2): 1,
-        (5, 3): 2,
-        (6, 3): 1,
-        (6, 4): 3,
-        (7, 4): 2,
-        (10, 5): 1,
-        (10, 8): 7,
-        (4, 1): None,
-        (5, 2): None,
-        (10, 4): None,
-    }
-    for (m, k), value in expected.items():
-        assert park_n2p_bound(m, k) == value
-    with pytest.raises(ValueError):
-        park_n2p_bound(1, 1)
-    with pytest.raises(ValueError):
-        park_n2p_bound(4, 0)
-    with pytest.raises(ValueError):
-        park_n2p_bound("4", 1)
-
-
-def test_park_bound_regimes_are_consistent():
-    for m in range(2, 20):
-        for k in range(1, 25):
-            value = park_n2p_bound(m, k)
-            if k >= m - 1:
-                assert value == k
-            elif 2 * k >= m:
-                assert value == 2 * k - m + 1
-                assert 1 <= value <= k
-            else:
-                assert value is None
 
 
 def test_moment_basis_order_and_size():
@@ -235,8 +181,6 @@ def test_point_evaluation_vector():
 def test_moment_operator_validation():
     with pytest.raises(InputError):
         MomentOperator(np.eye(5), num_vars=3, degree=2)
-    with pytest.raises(InputError):
-        MomentOperator(np.eye(6), num_vars=3, degree=2, basis="grevlex")
     with pytest.raises(NotSymmetric):
         MomentOperator(np.triu(np.ones((6, 6))), num_vars=3, degree=2)
     op = MomentOperator(np.eye(6), num_vars=3, degree=2)
@@ -255,7 +199,7 @@ def atomic_operator(rng, num_atoms, num_vars=3, degree=2):
 
 def test_moment_representable_atoms():
     rng = np.random.default_rng(11)
-    _, bound = veronese_p2_indices(2)
+    bound = toric_hankel_lower_bound(dilated_triangle(2))
     for atoms in (1, 2, 3):
         for _ in range(25):
             op = atomic_operator(rng, atoms)
@@ -274,7 +218,7 @@ def test_moment_representable_monotone_in_bound():
 
 
 def test_moment_representable_other_verdicts():
-    _, bound = veronese_p2_indices(2)
+    bound = toric_hankel_lower_bound(dilated_triangle(2))
     assert moment_representable(MomentOperator(np.eye(6), 3, 2), bound) == "indeterminate"
     flipped = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
     assert moment_representable(MomentOperator(flipped, 3, 2), bound) == "not_psd"

